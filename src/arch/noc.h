@@ -50,10 +50,9 @@ class NocModel
     double transferCycles(std::int64_t src, std::int64_t dst,
                           double bits) const;
 
-    /** Average transfer cycles per bit over all distinct pairs. */
-    double averageCyclesPerBit() const;
-
-    /** Worst-case hop count across the network (its diameter). */
+    /** Worst-case hop count across the network (its diameter), in
+     * closed form per topology; equals the maximum hopCount over all
+     * endpoint pairs. */
     std::int64_t diameter() const;
 
   private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <queue>
 #include <set>
 
@@ -524,22 +526,43 @@ runCgOptimization(const Graph &graph, const CimArchitecture &arch,
         max_reload = std::max(max_reload, seg_reload[s]);
     }
     if (options.dual_mode && builds.size() > 1 && max_reload > 0.0) {
+        // Members stay fixed while pinning, so a segment's latency
+        // depends only on its core budget; memoize it. A resident
+        // segment always runs on its own minimum cores (one slot per
+        // segment); every non-resident segment of a trial shares the
+        // remaining budget (one row of slots per remaining budget).
+        // Summing the cached values in segment order keeps every total
+        // bit-identical to re-planning each segment per trial.
+        using LatencySlots = std::vector<std::optional<double>>;
+        LatencySlots resident_latency(builds.size());
+        std::map<std::int64_t, LatencySlots> shared_latency;
+        auto segmentLatency = [&](std::optional<double> &slot,
+                                  std::size_t s,
+                                  std::int64_t seg_budget) -> double {
+            if (!slot) {
+                const SegmentPlan plan =
+                    planSegment(result.costs, builds[s].members, arch,
+                                options, seg_budget);
+                slot = options.cg_pipeline ? plan.latency.pipelined
+                                           : plan.latency.serial;
+            }
+            return *slot;
+        };
         auto totalLatency = [&](const std::vector<bool> &res,
                                 std::int64_t res_claimed) -> double {
             const std::int64_t remaining = budget - res_claimed;
             if (remaining <= 0)
                 return std::numeric_limits<double>::infinity();
+            LatencySlots &shared =
+                shared_latency.try_emplace(remaining, builds.size())
+                    .first->second;
             double total = 0.0;
             for (std::size_t s = 0; s < builds.size(); ++s) {
                 if (!res[s] && builds[s].min_cores > remaining)
                     return std::numeric_limits<double>::infinity();
-                const std::int64_t seg_budget =
-                    res[s] ? builds[s].min_cores : remaining;
-                SegmentPlan plan =
-                    planSegment(result.costs, builds[s].members, arch,
-                                options, seg_budget);
-                total += options.cg_pipeline ? plan.latency.pipelined
-                                             : plan.latency.serial;
+                total += res[s] ? segmentLatency(resident_latency[s], s,
+                                                 builds[s].min_cores)
+                                : segmentLatency(shared[s], s, remaining);
                 if (s > 0 && !res[s])
                     total += seg_reload[s];
             }

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/arch.h"
 #include "arch/device.h"
 #include "arch/noc.h"
@@ -183,7 +185,28 @@ TEST(NocTest, HTreeHopsGrowLogarithmically)
     NocModel tree(NocType::kHTree, 1, 8, 64.0);
     EXPECT_EQ(tree.hopCount(0, 1), 2);
     EXPECT_EQ(tree.hopCount(0, 7), 6);
-    EXPECT_LE(tree.diameter(), 6);
+    EXPECT_EQ(tree.diameter(), 6);
+}
+
+TEST(NocTest, DiameterMatchesBruteForceMaxHops)
+{
+    for (NocType type :
+         {NocType::kIdeal, NocType::kSharedBus, NocType::kMesh,
+          NocType::kHTree, NocType::kDisjointBufferSwitch}) {
+        for (std::int64_t rows = 1; rows <= 9; ++rows) {
+            for (std::int64_t cols = 1; cols <= 9; ++cols) {
+                const NocModel noc(type, rows, cols, 32.0);
+                const std::int64_t n = noc.endpointCount();
+                std::int64_t max_hops = 0;
+                for (std::int64_t s = 0; s < n; ++s) {
+                    for (std::int64_t d = 0; d < n; ++d)
+                        max_hops = std::max(max_hops, noc.hopCount(s, d));
+                }
+                EXPECT_EQ(noc.diameter(), max_hops)
+                    << nocTypeName(type) << " " << rows << "x" << cols;
+            }
+        }
+    }
 }
 
 TEST(NocTest, IdealIsFree)

@@ -5,7 +5,8 @@
  * their crossbars stay programmed across segment switches) and hybrid
  * host/CIM offload (digital regions priced against a host-CPU model).
  *
- * Covers the schedule invariants both passes must uphold, the pinned
+ * Covers the schedule invariants both passes must uphold, the exact
+ * resident choices of the pinning loop on one-node segments, the pinned
  * workload x architecture pairs where the auto-tuner selects each knob
  * and strictly beats every knob-off candidate, codegen's init-section
  * weight writes for resident segments, the host flag's round-trip
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/presets.h"
 #include "arch/serialize.h"
 #include "cache/artifact_cache.h"
 #include "compiler/batch.h"
@@ -165,6 +167,48 @@ TEST(DualModeTest, TunerSelectsDualAndStrictlyBeatsNonDual)
     EXPECT_LT(r.best().latency_cycles, best_without)
         << "dual-mode must strictly improve over the whole knob-off "
            "lattice, not just the default";
+}
+
+// One node per segment gives the greedy pinning loop a dozen segments
+// to choose among, round after round. The resident flags and exact
+// totals below were captured before the per-(segment, budget) latency
+// memo: memoizing must not change which segments pin or any bit of the
+// total.
+TEST(DualModeTest, PinningOnManySegmentsIsPinned)
+{
+    struct Pin {
+        const char *model;
+        bool isaac; //!< isaac-baseline, else examples/arch_dual_win.json
+        std::vector<bool> resident;
+        double total_latency_cycles;
+    };
+    const std::vector<Pin> pins = {
+        {"lenet5", false, {0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0},
+         0x1.49ed18p+15},
+        {"lenet5", true, {0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1},
+         0x1.98f008548e7b2p+15},
+        {"macro_cnn", false, {0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1},
+         0x1.a50aaaaaaaaaap+14},
+        {"macro_cnn", true, {0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1},
+         0x1.cbcf06e6f198dp+15},
+    };
+    ScheduleOptions options = ScheduleOptions::full();
+    options.segment_max_nodes = 1;
+    options.dual_mode = true;
+    for (const Pin &pin : pins) {
+        const CimArchitecture arch =
+            pin.isaac ? presets::isaacBaseline() : dualWinArch();
+        SCOPED_TRACE(std::string(pin.model) + " x " + arch.name);
+        auto schedule =
+            scheduleGraph(models::byName(pin.model), arch, options);
+        ASSERT_TRUE(schedule.isOk()) << schedule.status().toString();
+        const Schedule &s = schedule.value();
+        std::vector<bool> resident;
+        for (const Segment &segment : s.segments)
+            resident.push_back(segment.resident);
+        EXPECT_EQ(resident, pin.resident);
+        EXPECT_EQ(s.total_latency_cycles, pin.total_latency_cycles);
+    }
 }
 
 TEST(DualModeTest, CodegenMovesResidentWritesToInit)
