@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include "arch/serialize.h"
 #include "common/logging.h"
+#include "graph/serialize.h"
 
 namespace cimmlc {
 
@@ -70,6 +72,18 @@ ArtifactHash::digest() const
                   static_cast<unsigned long long>(hi_),
                   static_cast<unsigned long long>(lo_));
     return text;
+}
+
+std::string
+graphDigest(const Graph &graph)
+{
+    return ArtifactHash().mix(graphToConfig(graph).dump()).digest();
+}
+
+std::string
+archDigest(const CimArchitecture &arch)
+{
+    return ArtifactHash().mix(archToConfig(arch).dump()).digest();
 }
 
 // ----- ArtifactCache --------------------------------------------------------

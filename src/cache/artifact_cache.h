@@ -4,7 +4,7 @@
  * generalized to every CompilerSession stage.
  *
  * Each pipeline stage derives a key from the hashes of its own inputs
- * (graph + Abs-arch fingerprint, the schedule options actually in
+ * (graph + Abs-arch identity, the schedule options actually in
  * effect, codegen parameters, upstream-stage digests), so a changed
  * workload replays the unchanged stage prefix from cache and re-runs
  * only the invalidated suffix. Values are the stage artifacts
@@ -29,7 +29,9 @@
 #include <optional>
 #include <string>
 
+#include "arch/arch.h"
 #include "common/config.h"
+#include "graph/graph.h"
 
 namespace cimmlc {
 
@@ -59,6 +61,24 @@ class ArtifactHash
     std::uint64_t lo_ = 0xcbf29ce484222325ull;
     std::uint64_t hi_ = 0x6c62272e07bb0142ull;
 };
+
+/**
+ * Cache identity of a workload: the ArtifactHash of its compact
+ * canonical dump, graphToConfig(graph).dump(). Every node name,
+ * attribute and edge is serialized, so two graphs share a digest only
+ * if they serialize identically. One dump costs tens to hundreds of
+ * microseconds on the bundled models: compute it once per tune,
+ * explore, merge or session, never per candidate.
+ */
+std::string graphDigest(const Graph &graph);
+
+/**
+ * Cache identity of an Abs-arch: the ArtifactHash of
+ * archToConfig(arch).dump(), which carries every tier parameter and
+ * both NoC cost matrices (doubles at %.17g), so a new serialized field
+ * joins every cache key by construction.
+ */
+std::string archDigest(const CimArchitecture &arch);
 
 /**
  * Thread-safe bounded LRU memo of stage artifacts, keyed by

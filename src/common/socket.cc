@@ -227,18 +227,24 @@ Listener::accept()
             return Socket(fd);
         if (errno == EINTR)
             continue;
-        // EBADF/EINVAL after close() is the normal shutdown path.
+        // EINVAL after shutdown() is the normal stop path.
         return notFound(strformat("accept: %s", std::strerror(errno)));
     }
+}
+
+void
+Listener::shutdown()
+{
+    // Unlike close(), this unblocks a thread parked in accept() on
+    // Linux, and it leaves fd_ untouched for that thread to read.
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
 }
 
 void
 Listener::close()
 {
     if (fd_ >= 0) {
-        // shutdown() unblocks a thread parked in accept(); close alone
-        // does not on Linux.
-        ::shutdown(fd_, SHUT_RDWR);
         ::close(fd_);
         fd_ = -1;
     }

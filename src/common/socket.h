@@ -106,12 +106,17 @@ class Listener
     int boundPort() const { return port_; }
 
     /**
-     * Blocks for the next connection. When the listener is closed from
-     * another thread (the daemon's stop path), reports kNotFound.
+     * Blocks for the next connection. After shutdown() from another
+     * thread (the daemon's stop path), reports kNotFound.
      */
     StatusOr<Socket> accept();
 
-    /** Closes the listening descriptor, unblocking accept(). */
+    /** Unblocks a thread parked in accept() without releasing the
+     * descriptor, so it is safe while that thread still reads it. */
+    void shutdown();
+
+    /** Closes the listening descriptor. Not safe while another thread
+     * is inside accept(): shutdown() and join that thread first. */
     void close();
 
   private:

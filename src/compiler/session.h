@@ -124,8 +124,8 @@ struct CompileRequest {
 
     //! host-CPU cost model for hybrid offload: prices digital regions
     //! whenever the effective options (or a tuned candidate) enable
-    //! host_offload. The default model is part of the request identity
-    //! only when it differs from HostModel{} (see HostModel::cacheTag).
+    //! host_offload. Its tag() is part of every cache key that
+    //! depends on it.
     HostModel host_model;
 
     /**
@@ -145,8 +145,8 @@ struct CompileRequest {
 
     /**
      * Optional stage-level artifact cache (not owned). When set, every
-     * stage after load derives a fingerprint key from its own inputs
-     * (graph + arch digest, effective schedule options, codegen
+     * stage after load derives a key from its own inputs
+     * (graphDigest + archDigest, effective schedule options, codegen
      * parameters, upstream-stage keys) and replays a prior successful
      * result on a hit instead of recomputing — so a request that
      * changes one stage input re-runs only the invalidated suffix.

@@ -332,7 +332,7 @@ dseSpecDigest(const DseSpec &spec)
     hash.mix(spec.model);
     hash.mix(spec.model_file);
     hash.mix(spec.model_text);
-    hash.mix(spec.base_arch.toString());
+    hash.mix(archDigest(spec.base_arch));
     hash.mix(spec.options.toString());
     hash.mix(spec.tune);
     hash.mix(tuneObjectiveName(spec.objective));
@@ -476,21 +476,17 @@ mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
     // hit accounting matches a cold single-process run byte for byte:
     // there, only the first occurrence of an aliased sweep point is
     // evaluated and every later one counts as a cache hit.
+    const std::string graph_digest = graphDigest(graph);
     std::map<std::string, std::size_t> first_of_key;
     std::int64_t duplicate_hits = 0;
     std::int64_t unique_keys = 0;
     for (DseCandidate &candidate : result.candidates) {
         if (!keyed[candidate.index])
             continue; // structurally invalid, never keyed
-        std::string key = TuneCache::fingerprint(
-            graph, candidate.arch,
-            AutoTuner::encodeOptions(spec.options));
-        if (spec.lint)
-            key += "+lint";
-        if (spec.perf_engine == PerfEngineKind::kEvent)
-            key += "+engine:event";
-        auto [it, inserted] =
-            first_of_key.emplace(std::move(key), candidate.index);
+        auto [it, inserted] = first_of_key.emplace(
+            dseEvaluationKey(spec, graph_digest,
+                             archDigest(candidate.arch)),
+            candidate.index);
         if (inserted) {
             ++unique_keys;
         } else {

@@ -130,12 +130,16 @@ DaemonServer::stop()
     stop_cv_.notify_all();
     stopping_.store(true, std::memory_order_release);
 
-    // Closing the listeners unblocks the accept threads.
-    unix_listener_.close();
-    tcp_listener_.close();
+    // Shut the listeners down to unblock the accept threads, and close
+    // them only once those threads, which read the descriptors, are
+    // joined.
+    unix_listener_.shutdown();
+    tcp_listener_.shutdown();
     for (std::thread &thread : accept_threads_)
         thread.join();
     accept_threads_.clear();
+    unix_listener_.close();
+    tcp_listener_.close();
 
     // Shut every connection down (readers unblock from recv and run
     // their normal cleanup: drop queued work, cancel running sessions).
@@ -196,7 +200,7 @@ DaemonServer::acceptLoop(Listener *listener)
     for (;;) {
         auto accepted = listener->accept();
         if (!accepted.isOk())
-            return; // listener closed: the stop path
+            return; // listener shut down: the stop path
         if (stopping_.load(std::memory_order_acquire))
             return; // raced with stop(); drop the late connection
         auto conn = std::make_shared<Connection>();

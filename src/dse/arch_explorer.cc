@@ -40,8 +40,8 @@ text(std::string v)
 }
 
 /**
- * Prices one candidate. @p key is its evaluation fingerprint from
- * explore()'s dedup pass — the memo key for fixed-options runs.
+ * Prices one candidate. @p key is its dseEvaluationKey from explore()'s
+ * dedup pass — the memo key for fixed-options runs.
  */
 void
 evaluateCandidate(const Graph &graph, const DseSpec &spec,
@@ -49,7 +49,7 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
                   TuneCache *cache,
                   std::atomic<std::int64_t> &cache_hits)
 {
-    // Fixed-options candidates reuse the tuner's fingerprint scheme for
+    // Fixed-options candidates reuse the tuner's key scheme for
     // cross-process memoization; spec options always come from a named
     // --opt level, which the encoding represents exactly. Duplicate
     // sweep points were deduplicated by explore(), so this lookup only
@@ -122,7 +122,7 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
  * Prices one candidate on the cheap proxy stage of a halving rung:
  * forced `opt=none` and/or a topological workload prefix, routed
  * through the same staged CompilerSession as a full evaluation. @p key
- * is the fidelity-tagged fingerprint, so proxy entries in a shared
+ * is the fidelity-tagged TuneCache::key, so proxy entries in a shared
  * TuneCache can never alias full evaluations. @p session_runs counts
  * actual (non-memoized) session executions for the report.
  */
@@ -179,6 +179,20 @@ evaluateProxy(const Graph &graph, const DseSpec &spec,
 }
 
 } // namespace
+
+std::string
+dseEvaluationKey(const DseSpec &spec, const std::string &graph_digest,
+                 const std::string &arch_digest)
+{
+    std::string key = TuneCache::key(
+        graph_digest, arch_digest,
+        spec.tune ? 0u : AutoTuner::encodeOptions(spec.options));
+    if (spec.lint)
+        key += "+lint";
+    if (spec.perf_engine == PerfEngineKind::kEvent)
+        key += "+engine:event";
+    return key;
+}
 
 // ----- spec parsing ---------------------------------------------------------
 
@@ -448,6 +462,8 @@ ArchExplorer::explore(TuneCache *cache) const
     // would depend on thread timing.
     std::map<std::string, std::size_t> first_of_key;
     std::vector<std::size_t> unique;
+    const std::string graph_digest = graphDigest(graph);
+    std::vector<std::string> arch_digests(result.candidates.size());
     std::vector<std::string> keys(result.candidates.size());
     std::vector<std::size_t> copy_from(result.candidates.size(),
                                        result.candidates.size());
@@ -466,20 +482,9 @@ ArchExplorer::explore(TuneCache *cache) const
         }
         if (!candidate.status.isOk())
             continue;
-        // The arch identity alone for tuned runs (the tuner covers every
-        // encoding); arch + the fixed options otherwise.
-        keys[candidate.index] = TuneCache::fingerprint(
-            graph, candidate.arch,
-            spec_.tune ? 0u : AutoTuner::encodeOptions(spec_.options));
-        // Linted evaluations gate feasibility on mopcheck, so their
-        // memo entries must never alias unlinted ones.
-        if (spec_.lint)
-            keys[candidate.index] += "+lint";
-        // Event-engine metrics come from a different pricing model;
-        // closed-form proxy keys stay untagged so they correctly alias
-        // plain closed-form full evaluations.
-        if (spec_.perf_engine == PerfEngineKind::kEvent)
-            keys[candidate.index] += "+engine:event";
+        arch_digests[candidate.index] = archDigest(candidate.arch);
+        keys[candidate.index] = dseEvaluationKey(
+            spec_, graph_digest, arch_digests[candidate.index]);
         auto [it, inserted] =
             first_of_key.emplace(keys[candidate.index], candidate.index);
         if (inserted)
@@ -563,8 +568,8 @@ ArchExplorer::explore(TuneCache *cache) const
                 std::vector<std::string> proxy_keys(
                     result.candidates.size());
                 for (std::size_t index : survivors)
-                    proxy_keys[index] = TuneCache::fingerprint(
-                        graph, result.candidates[index].arch,
+                    proxy_keys[index] = TuneCache::key(
+                        graph_digest, arch_digests[index],
                         proxy_encoding, fidelity);
                 run_rung(survivors, [&](std::size_t index) {
                     DseCandidate &candidate = result.candidates[index];

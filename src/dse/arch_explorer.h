@@ -75,7 +75,7 @@ struct DseSpec {
      * `--lint`): each candidate's emitted flow is linted and any
      * error-severity finding marks the candidate infeasible, so the
      * Pareto front only contains designs whose flow passes static
-     * analysis. Proxy rungs are unaffected. Cache fingerprints are
+     * analysis. Proxy rungs are unaffected. Cache keys are
      * tagged so linted evaluations never alias unlinted ones.
      */
     bool lint = false;
@@ -85,7 +85,7 @@ struct DseSpec {
      * (`"perf_engine"` key / CLI `--perf-engine`). Halving proxy rungs
      * always run the closed-form model: with `event` selected, the
      * analytic model itself is the cheap fidelity rung below the
-     * discrete-event simulation, and cache fingerprints are tagged so
+     * discrete-event simulation, and cache keys are tagged so
      * event evaluations never alias closed-form ones.
      */
     PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
@@ -215,6 +215,18 @@ struct DseResult {
 };
 
 /**
+ * Memo key of one full-fidelity evaluation of @p spec on the arch
+ * whose archDigest is @p arch_digest. Untuned closed-form evaluations
+ * share TuneCache::key entries with the tuner; linted and event-engine
+ * evaluations are tagged so they never alias those; tuned specs key on
+ * encoding 0 (the tuner covers every encoding). explore() deduplicates
+ * sweep points by this key and mergeDseShards() replays that dedup.
+ */
+std::string dseEvaluationKey(const DseSpec &spec,
+                             const std::string &graph_digest,
+                             const std::string &arch_digest);
+
+/**
  * Architecture design-space explorer.
  *
  * @code
@@ -257,7 +269,7 @@ class ArchExplorer
      * memoizes evaluations across candidates and calls — with per-
      * candidate tuning it is the tuner's shared memo, without it each
      * candidate's single (graph, arch, options) evaluation is memoized
-     * under the same fingerprint scheme, so a persisted cache warms
+     * under the same TuneCache::key scheme, so a persisted cache warms
      * both modes. Fails only when the workload cannot be loaded or no
      * candidate is feasible.
      */

@@ -100,8 +100,16 @@ TensorId
 Graph::addNode(OpKind kind, NodeAttrs attrs, std::vector<TensorId> inputs,
                const std::string &name)
 {
-    CIMMLC_CHECK_NE(kind, OpKind::kInput)
-        << "use addInput for graph inputs";
+    return tryAddNode(kind, std::move(attrs), std::move(inputs), name)
+        .value();
+}
+
+StatusOr<TensorId>
+Graph::tryAddNode(OpKind kind, NodeAttrs attrs,
+                  std::vector<TensorId> inputs, const std::string &name)
+{
+    if (kind == OpKind::kInput)
+        return invalidArgument("use addInput for graph inputs");
     Node node;
     node.id = static_cast<NodeId>(nodes_.size());
     node.name = name.empty()
@@ -111,13 +119,16 @@ Graph::addNode(OpKind kind, NodeAttrs attrs, std::vector<TensorId> inputs,
     node.attrs = std::move(attrs);
     node.inputs = std::move(inputs);
     for (TensorId in : node.inputs) {
-        CIMMLC_CHECK(in >= 0 &&
-                     in < static_cast<TensorId>(tensors_.size()))
-            << "node " << node.name << " references unknown tensor " << in;
-        tensors_[static_cast<std::size_t>(in)].consumers.push_back(node.id);
+        if (in < 0 || in >= static_cast<TensorId>(tensors_.size()))
+            return invalidArgument(strformat(
+                "node %s references unknown tensor %d",
+                node.name.c_str(), static_cast<int>(in)));
     }
-    std::vector<std::int64_t> out_dims =
-        inferShape(kind, node.attrs, node.inputs, node.name);
+    CIMMLC_ASSIGN_OR_RETURN(
+        std::vector<std::int64_t> out_dims,
+        inferShape(kind, node.attrs, node.inputs, node.name));
+    for (TensorId in : node.inputs)
+        tensors_[static_cast<std::size_t>(in)].consumers.push_back(node.id);
     node.output = newTensor(node.name + ":out", std::move(out_dims),
                             node.id);
     const TensorId out = node.output;
@@ -133,34 +144,57 @@ Graph::markOutput(TensorId tensor)
     outputs_.push_back(tensor);
 }
 
-std::vector<std::int64_t>
+StatusOr<std::vector<std::int64_t>>
 Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
                   const std::vector<TensorId> &ins,
                   const std::string &name) const
 {
     auto dims_of = [&](std::size_t i) -> const std::vector<std::int64_t> & {
-        CIMMLC_CHECK_LT(i, ins.size())
-            << "node " << name << " is missing input " << i;
         return tensors_[static_cast<std::size_t>(ins[i])].dims;
     };
+    auto fail = [&name](const std::string &what) {
+        return invalidArgument(what + " in node " + name);
+    };
+    // Conv and pool windows over an NCHW input; checked before the
+    // division by the stride.
+    auto window = [&](std::int64_t kernel_h, std::int64_t kernel_w,
+                      std::int64_t stride, std::int64_t padding)
+        -> StatusOr<std::vector<std::int64_t>> {
+        const auto &in = dims_of(0);
+        if (in.size() != 4u)
+            return fail(std::string(opKindName(kind))
+                        + " input must be NCHW");
+        if (kernel_h <= 0 || kernel_w <= 0 || stride <= 0 || padding < 0)
+            return fail("window needs kernel >= 1, stride >= 1 and "
+                        "padding >= 0");
+        return std::vector<std::int64_t>{
+            in[0], in[1],
+            convOutDim(in[2], kernel_h, stride, padding),
+            convOutDim(in[3], kernel_w, stride, padding)};
+    };
+    const std::size_t arity =
+        kind == OpKind::kMatMul || kind == OpKind::kAdd ? 2 : 1;
+    if (ins.size() < arity
+        || (kind != OpKind::kConcat && ins.size() > arity))
+        return fail(strformat("%s takes %zu input(s), got %zu",
+                              opKindName(kind), arity, ins.size()));
 
     switch (kind) {
       case OpKind::kInput:
-        panic("inferShape on input node");
+        return fail("inferShape on an input");
       case OpKind::kConv2d: {
         const auto &a = std::get<Conv2dAttrs>(attrs);
-        const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u)
-            << "conv2d input must be NCHW in node " << name;
-        return {in[0], a.out_channels,
-                convOutDim(in[2], a.kernel_h, a.stride, a.padding),
-                convOutDim(in[3], a.kernel_w, a.stride, a.padding)};
+        CIMMLC_ASSIGN_OR_RETURN(
+            std::vector<std::int64_t> out,
+            window(a.kernel_h, a.kernel_w, a.stride, a.padding));
+        out[1] = a.out_channels;
+        return out;
       }
       case OpKind::kLinear: {
         const auto &a = std::get<LinearAttrs>(attrs);
         const auto &in = dims_of(0);
-        CIMMLC_CHECK_GE(in.size(), 2u)
-            << "linear input must be >= 2-d in node " << name;
+        if (in.size() < 2u)
+            return fail("linear input must be >= 2-d");
         std::vector<std::int64_t> out = in;
         out.back() = a.out_features;
         return out;
@@ -169,15 +203,15 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
         const auto &a = std::get<MatMulAttrs>(attrs);
         const auto &lhs = dims_of(0);
         const auto &rhs = dims_of(1);
-        CIMMLC_CHECK_GE(lhs.size(), 2u);
-        CIMMLC_CHECK_GE(rhs.size(), 2u);
+        if (lhs.size() < 2u || rhs.size() < 2u)
+            return fail("matmul operands must be >= 2-d");
         const std::int64_t lhs_k = lhs.back();
         const std::int64_t rhs_k =
             a.transpose_rhs ? rhs.back() : rhs[rhs.size() - 2];
         const std::int64_t rhs_n =
             a.transpose_rhs ? rhs[rhs.size() - 2] : rhs.back();
-        CIMMLC_CHECK_EQ(lhs_k, rhs_k)
-            << "matmul inner-dim mismatch in node " << name;
+        if (lhs_k != rhs_k)
+            return fail("matmul inner-dim mismatch");
         std::vector<std::int64_t> out = lhs;
         out.back() = rhs_n;
         return out;
@@ -185,52 +219,53 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
       case OpKind::kMaxPool2d:
       case OpKind::kAvgPool2d: {
         const auto &a = std::get<Pool2dAttrs>(attrs);
-        const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u)
-            << "pool input must be NCHW in node " << name;
-        return {in[0], in[1],
-                convOutDim(in[2], a.kernel, a.stride, a.padding),
-                convOutDim(in[3], a.kernel, a.stride, a.padding)};
+        return window(a.kernel, a.kernel, a.stride, a.padding);
       }
       case OpKind::kGlobalAvgPool: {
         const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u);
-        return {in[0], in[1], 1, 1};
+        if (in.size() != 4u)
+            return fail("global pool input must be NCHW");
+        return std::vector<std::int64_t>{in[0], in[1], 1, 1};
       }
       case OpKind::kAdd: {
-        const auto &a = dims_of(0);
-        const auto &b = dims_of(1);
-        CIMMLC_CHECK(a == b)
-            << "add operand shape mismatch in node " << name;
-        return a;
+        if (dims_of(0) != dims_of(1))
+            return fail("add operand shape mismatch");
+        return dims_of(0);
       }
       case OpKind::kConcat: {
-        CIMMLC_CHECK_GE(ins.size(), 1u);
         std::vector<std::int64_t> out = dims_of(0);
-        CIMMLC_CHECK_GE(out.size(), 2u);
+        if (out.size() < 2u)
+            return fail("concat operands must be >= 2-d");
         for (std::size_t i = 1; i < ins.size(); ++i) {
-            const auto &d = dims_of(i);
-            CIMMLC_CHECK_EQ(d.size(), out.size());
-            out[1] += d[1]; // channel concat
+            std::vector<std::int64_t> d = dims_of(i);
+            if (d.size() != out.size())
+                return fail("concat operand rank mismatch");
+            const std::int64_t channels = d[1];
+            d[1] = out[1];
+            if (d != out)
+                return fail("concat operands differ outside the channel "
+                            "dim");
+            out[1] += channels; // channel concat
         }
         return out;
       }
       case OpKind::kFlatten: {
         const auto &in = dims_of(0);
+        if (in.empty())
+            return fail("flatten input must be >= 1-d");
         std::int64_t rest = 1;
         for (std::size_t i = 1; i < in.size(); ++i)
             rest *= in[i];
-        return {in[0], rest};
+        return std::vector<std::int64_t>{in[0], rest};
       }
       case OpKind::kReshape: {
         const auto &a = std::get<ReshapeAttrs>(attrs);
-        std::int64_t in_total =
-            tensors_[static_cast<std::size_t>(ins[0])].numel();
         std::int64_t out_total = 1;
         for (std::int64_t d : a.new_dims)
             out_total *= d;
-        CIMMLC_CHECK_EQ(in_total, out_total)
-            << "reshape element-count mismatch in node " << name;
+        if (tensors_[static_cast<std::size_t>(ins[0])].numel()
+            != out_total)
+            return fail("reshape element-count mismatch");
         return a.new_dims;
       }
       case OpKind::kRelu:
@@ -240,7 +275,7 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
       case OpKind::kIdentity:
         return dims_of(0);
     }
-    panic("unhandled op kind in inferShape");
+    return fail("unhandled op kind");
 }
 
 TensorId

@@ -44,10 +44,18 @@ class Graph
     TensorId addInput(const std::string &name,
                       std::vector<std::int64_t> dims);
 
-    /** Generic node append; infers and registers the output shape. */
+    /** Generic node append; infers and registers the output shape.
+     * Aborts on an ill-formed node (see tryAddNode). */
     TensorId addNode(OpKind kind, NodeAttrs attrs,
                      std::vector<TensorId> inputs,
                      const std::string &name = "");
+
+    /** addNode for untrusted input: an unknown input tensor, a wrong
+     * input count or rank, or inconsistent attributes is an
+     * InvalidArgument, and the graph is left unchanged. */
+    StatusOr<TensorId> tryAddNode(OpKind kind, NodeAttrs attrs,
+                                  std::vector<TensorId> inputs,
+                                  const std::string &name = "");
 
     /** Marks @p tensor as a graph output. */
     void markOutput(TensorId tensor);
@@ -124,10 +132,10 @@ class Graph
                           std::int64_t hi = 8);
 
   private:
-    std::vector<std::int64_t> inferShape(OpKind kind,
-                                         const NodeAttrs &attrs,
-                                         const std::vector<TensorId> &ins,
-                                         const std::string &name) const;
+    StatusOr<std::vector<std::int64_t>>
+    inferShape(OpKind kind, const NodeAttrs &attrs,
+               const std::vector<TensorId> &ins,
+               const std::string &name) const;
     TensorId newTensor(const std::string &name,
                        std::vector<std::int64_t> dims, NodeId producer);
 

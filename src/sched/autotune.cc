@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <limits>
 
+#include "cache/artifact_cache.h"
 #include "common/strutil.h"
 #include "common/table.h"
 #include "common/threadpool.h"
@@ -71,41 +71,25 @@ forbiddenBits(ComputeMode mode)
     return 0;
 }
 
-/**
- * Order-sensitive FNV-1a over the graph structure (node kinds, arity,
- * output dims in topo order), so graphs that agree on name and
- * aggregate totals but differ structurally never share a memo entry.
- */
-std::uint64_t
-graphStructureHash(const Graph &graph)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 1099511628211ull;
-    };
-    for (NodeId id : graph.topoOrder()) {
-        const Node &node = graph.node(id);
-        mix(static_cast<std::uint64_t>(node.kind));
-        mix(node.inputs.size());
-        for (std::int64_t dim : graph.tensor(node.output).dims)
-            mix(static_cast<std::uint64_t>(dim));
-    }
-    return hash;
-}
+/** The (graph, arch) identity one tune call keys its memo entries by. */
+struct TuneIdentity {
+    std::string graph;
+    std::string arch;
+};
 
 void
 evaluateCandidate(const Graph &graph, const CimArchitecture &arch,
                   const HostModel &host_model, TuneCandidate &candidate,
-                  TuneCache *cache,
+                  TuneCache *cache, const TuneIdentity &identity,
                   std::atomic<std::int64_t> &cache_hits)
 {
     std::string key;
     if (cache != nullptr) {
-        key = TuneCache::fingerprint(graph, arch, candidate.encoding, {},
-                                     candidate.options.host_offload
-                                         ? host_model.cacheTag()
-                                         : "");
+        key = TuneCache::key(identity.graph, identity.arch,
+                             candidate.encoding, {},
+                             candidate.options.host_offload
+                                 ? host_model.tag()
+                                 : "");
         if (auto hit = cache->lookup(key)) {
             candidate.status = hit->status;
             candidate.latency_cycles = hit->latency_cycles;
@@ -278,70 +262,17 @@ TuneCache::size() const
 }
 
 std::string
-TuneCache::fingerprint(const Graph &graph, const CimArchitecture &arch,
-                       std::uint32_t encoding,
-                       const SearchFidelity &fidelity,
-                       const std::string &host_tag)
+TuneCache::key(const std::string &graph_digest,
+               const std::string &arch_digest, std::uint32_t encoding,
+               const SearchFidelity &fidelity, const std::string &host_tag)
 {
-    // Identity of the evaluation inputs: graph structure summarized by
-    // name + size + work, architecture by every cost-relevant parameter.
-    // A DSE sweep shares one cache across many arch candidates, so any
-    // parameter the cost model reads must appear here — including the
-    // NoC topologies, buffer sizes, and explicit cost matrices the
-    // first version of this key omitted.
-    std::uint64_t noc_cost_hash = 1469598103934665603ull;
-    auto mix_doubles = [&noc_cost_hash](const std::vector<double> &values) {
-        for (double value : values) {
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(value));
-            std::memcpy(&bits, &value, sizeof(bits));
-            noc_cost_hash ^= bits;
-            noc_cost_hash *= 1099511628211ull;
-        }
-        // Separator between the two matrices so ({x}, {}) != ({}, {x}).
-        noc_cost_hash ^= 0x9e3779b97f4a7c15ull;
-        noc_cost_hash *= 1099511628211ull;
-    };
-    mix_doubles(arch.chip.core_noc_cost);
-    mix_doubles(arch.core.xb_noc_cost);
-    // A non-default host model changes how offload-enabled encodings
-    // price; the default model's tag is empty so pre-offload
-    // fingerprints — and persisted caches — remain valid verbatim.
-    const std::string host_part =
-        host_tag.empty() ? std::string() : "|hm" + host_tag;
-    return strformat(
-        "%s|n%zu|w%lld|m%lld|h%016llx||%s|%s|c%lldx%lld|x%lldx%lld|"
-        "r%lldx%lld|pr%lld|dac%d|adc%d|ct%d|cb%d|wb%d|ab%d|"
-        "bw%.17g/%.17g/%.17g|alu%.17g/%.17g|noc%d/%d|xbw%.17g|"
-        "l0s%.17g|l1s%.17g|nch%016llx||o%u%s",
-        graph.name().c_str(), graph.nodeCount(),
-        static_cast<long long>(graph.totalWeights()),
-        static_cast<long long>(graph.totalMacs()),
-        static_cast<unsigned long long>(graphStructureHash(graph)),
-        arch.name.c_str(),
-        computeModeName(arch.mode),
-        static_cast<long long>(arch.chip.core_rows),
-        static_cast<long long>(arch.chip.core_cols),
-        static_cast<long long>(arch.core.xb_rows),
-        static_cast<long long>(arch.core.xb_cols),
-        static_cast<long long>(arch.xbar.rows),
-        static_cast<long long>(arch.xbar.cols),
-        static_cast<long long>(arch.xbar.parallel_row),
-        arch.xbar.dac_bits, arch.xbar.adc_bits,
-        static_cast<int>(arch.xbar.cell_type), arch.xbar.cell_bits,
-        arch.weight_bits, arch.activation_bits,
-        arch.chip.core_noc_bandwidth, arch.chip.l0_bandwidth,
-        arch.core.l1_bandwidth, arch.chip.alu_ops_per_cycle,
-        arch.core.alu_ops_per_cycle,
-        static_cast<int>(arch.chip.core_noc),
-        static_cast<int>(arch.core.xb_noc), arch.core.xb_noc_bandwidth,
-        arch.chip.l0_size_kib, arch.core.l1_size_kib,
-        static_cast<unsigned long long>(noc_cost_hash), encoding,
-        // Proxy evaluations (halving rungs force opt=none and/or price
-        // a workload prefix) are tagged so a warm cache entry from a
-        // rung can never alias — and never poison — a full evaluation
-        // of the same point.
-        fidelity.tag().c_str()) + host_part;
+    return ArtifactHash()
+        .mix(graph_digest)
+        .mix(arch_digest)
+        .mix(static_cast<std::int64_t>(encoding))
+        .mix(fidelity.tag())
+        .mix(host_tag)
+        .digest();
 }
 
 ConfigValue
@@ -364,7 +295,7 @@ TuneCache::toConfig() const
         rows.push_back(ConfigValue::makeObject(std::move(row)));
     }
     ConfigValue::Object doc;
-    doc["schema"] = ConfigValue::makeString("cimmlc.tunecache.v1");
+    doc["schema"] = ConfigValue::makeString("cimmlc.tunecache.v2");
     doc["entries"] = ConfigValue::makeArray(std::move(rows));
     return ConfigValue::makeObject(std::move(doc));
 }
@@ -385,9 +316,9 @@ TuneCache::loadFromConfig(const ConfigValue &doc)
     if (!doc.isObject())
         return fail(parseError("tune cache must be a kvjson object"));
     const std::string schema = doc.getStringOr("schema", "");
-    if (schema != "cimmlc.tunecache.v1")
+    if (schema != "cimmlc.tunecache.v2")
         return fail(parseError("tune cache has schema '" + schema
-                               + "', expected 'cimmlc.tunecache.v1' "
+                               + "', expected 'cimmlc.tunecache.v2' "
                                  "(stale file?)"));
     auto rows = doc.get("entries");
     if (!rows.isOk() || !rows.value().isArray())
@@ -541,6 +472,15 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
     }
 
     std::atomic<std::int64_t> cache_hits{0};
+    // One dump per tune call, not per candidate: the identity costs far
+    // more than a candidate's cache lookup.
+    TuneIdentity identity;
+    if (config_.cache != nullptr)
+        identity = TuneIdentity{graphDigest(graph), archDigest(arch)};
+    const auto evaluate = [&](TuneCandidate &candidate) {
+        evaluateCandidate(graph, arch, config_.host_model, candidate,
+                          config_.cache, identity, cache_hits);
+    };
     result.budget = config_.budget;
     if (!config_.budget.enabled()) {
         // Exhaustive reference path, byte-identical to the pre-budget
@@ -548,18 +488,11 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
         // against it.
         if (config_.threads == 1) {
             for (TuneCandidate &candidate : result.candidates)
-                evaluateCandidate(graph, arch, config_.host_model,
-                                  candidate, config_.cache, cache_hits);
+                evaluate(candidate);
         } else {
             ThreadPool pool(config_.threads);
-            for (TuneCandidate &candidate : result.candidates) {
-                pool.submit(
-                    [this, &graph, &arch, &candidate, &cache_hits] {
-                        evaluateCandidate(graph, arch,
-                                          config_.host_model, candidate,
-                                          config_.cache, cache_hits);
-                    });
-            }
+            for (TuneCandidate &candidate : result.candidates)
+                pool.submit([&evaluate, &candidate] { evaluate(candidate); });
             pool.wait();
         }
         result.evaluated_count =
@@ -627,19 +560,12 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
                 for (std::size_t index : to_eval) {
                     TuneCandidate &candidate = result.candidates[index];
                     pool->submit(
-                        [this, &graph, &arch, &candidate, &cache_hits] {
-                            evaluateCandidate(graph, arch,
-                                              config_.host_model,
-                                              candidate, config_.cache,
-                                              cache_hits);
-                        });
+                        [&evaluate, &candidate] { evaluate(candidate); });
                 }
                 pool->wait();
             } else {
                 for (std::size_t index : to_eval)
-                    evaluateCandidate(graph, arch, config_.host_model,
-                                      result.candidates[index],
-                                      config_.cache, cache_hits);
+                    evaluate(result.candidates[index]);
             }
             evaluated += static_cast<std::int64_t>(to_eval.size());
             for (std::size_t index : to_eval) {

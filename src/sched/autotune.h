@@ -124,7 +124,7 @@ class TuneCache
 
     /**
      * Serializes the memo as a kvjson document (schema
-     * "cimmlc.tunecache.v1"), keyed by the evaluation fingerprints, so
+     * "cimmlc.tunecache.v2"), keyed by TuneCache::key, so
      * a sweep can persist across processes (`cimmlc --tune-cache`).
      */
     ConfigValue toConfig() const;
@@ -147,24 +147,17 @@ class TuneCache
     Status loadFromFile(const std::string &path);
 
     /**
-     * Memo key for one (graph, arch, options) evaluation. Covers every
-     * cost-relevant Abs-arch parameter — crossbar/core/chip geometry,
-     * NoC topologies and bandwidths, buffer sizes and bandwidths, cost
-     * matrices, precisions — so a cache shared across architecture
-     * candidates (the DSE explorer sweeps them) can never alias two
-     * arch points that price differently.
+     * Memo key for one evaluation: the graphDigest/archDigest identity
+     * (cache/artifact_cache.h), the candidate encoding, the evaluation
+     * fidelity, and @p host_tag (HostModel::tag() when the encoding
+     * enables host offload, "" otherwise). Two evaluations share a key
+     * only if their canonical graph and Abs-arch dumps are identical.
      */
-    /**
-     * @param host_tag HostModel::cacheTag() of a non-default host model
-     *   when the encoding enables host offload, "" otherwise. The
-     *   default model's tag is empty so fingerprints (and persisted
-     *   caches) from before hybrid offload stay valid verbatim.
-     */
-    static std::string fingerprint(const Graph &graph,
-                                   const CimArchitecture &arch,
-                                   std::uint32_t encoding,
-                                   const SearchFidelity &fidelity = {},
-                                   const std::string &host_tag = "");
+    static std::string key(const std::string &graph_digest,
+                           const std::string &arch_digest,
+                           std::uint32_t encoding,
+                           const SearchFidelity &fidelity = {},
+                           const std::string &host_tag = "");
 
   private:
     mutable std::mutex mutex_;
@@ -202,7 +195,11 @@ struct AutoTuneConfig {
  * @code
  *   AutoTuner tuner({TuneObjective::kEdp});
  *   auto result = tuner.tune(models::resnet18(), presets::puma());
- *   CimCompiler compiler(arch, result.value().best().options);
+ *   CompileRequest request;
+ *   request.model = "resnet18";
+ *   request.arch = "puma";
+ *   request.options = result.value().best().options;
+ *   auto artifacts = CompilerSession(std::move(request)).run();
  * @endcode
  */
 class AutoTuner

@@ -14,7 +14,7 @@
  * fraction per rung is promoted to full evaluation.
  *
  * A SearchFidelity names how an evaluation was cheapened. It is part of
- * every TuneCache fingerprint, so a warm cache entry produced by a
+ * every TuneCache key, so a warm cache entry produced by a
  * halving rung can never alias a full evaluation of the same
  * (graph, arch, options) point.
  */
@@ -31,8 +31,7 @@ namespace cimmlc {
 
 /**
  * How one evaluation was cheapened relative to full fidelity. The
- * default-constructed value means "full fidelity" and contributes
- * nothing to cache fingerprints, so existing keys stay stable.
+ * default-constructed value means "full fidelity".
  */
 struct SearchFidelity {
     //! schedule/price only the first N compute nodes of the workload
@@ -44,8 +43,8 @@ struct SearchFidelity {
 
     bool isProxy() const { return prefix_nodes > 0 || forced_opt_none; }
 
-    /** Cache-fingerprint suffix: empty at full fidelity, a "|proxy:…"
-     * marker otherwise (see TuneCache::fingerprint). */
+    /** Cache-key component: empty at full fidelity, a "|proxy:…"
+     * marker otherwise (see TuneCache::key). */
     std::string tag() const;
 
     bool operator==(const SearchFidelity &) const = default;

@@ -13,8 +13,11 @@
 #include <vector>
 
 #include "arch/presets.h"
+#include "cache/artifact_cache.h"
 #include "compiler/batch.h"
 #include "graph/models.h"
+#include "graph/serialize.h"
+#include "kernel_swap_pair.h"
 #include "sched/autotune.h"
 
 namespace cimmlc {
@@ -163,36 +166,62 @@ TEST(TuneCacheTest, FingerprintSeparatesArchCandidates)
     // parameter must change the memo key. xb_size is the satellite pin;
     // the NoC topology, xb_noc_bandwidth, and buffer sizes are the
     // parameters the original key actually omitted.
-    const Graph graph = models::byName("lenet5");
+    const std::string graph = graphDigest(models::byName("lenet5"));
     const CimArchitecture base = presets::jainJssc21();
+    const auto key = [&graph](const CimArchitecture &arch) {
+        return TuneCache::key(graph, archDigest(arch), 0);
+    };
 
     CimArchitecture xb_size = base;
     xb_size.xbar.rows = 128;
     xb_size.xbar.cols = 128;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, xb_size, 0));
+    EXPECT_NE(key(base), key(xb_size));
 
     CimArchitecture noc = base;
     noc.chip.core_noc = NocType::kMesh;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, noc, 0));
+    EXPECT_NE(key(base), key(noc));
 
     CimArchitecture xb_noc_bw = base;
     xb_noc_bw.core.xb_noc_bandwidth = 64.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, xb_noc_bw, 0));
+    EXPECT_NE(key(base), key(xb_noc_bw));
 
     CimArchitecture l0 = base;
     l0.chip.l0_size_kib = 96.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, l0, 0));
+    EXPECT_NE(key(base), key(l0));
 
     CimArchitecture cost = base;
     const std::size_t cores =
         static_cast<std::size_t>(cost.chip.coreNumber());
     cost.chip.core_noc_cost.assign(cores * cores, 2.0);
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, cost, 0));
+    EXPECT_NE(key(base), key(cost));
+}
+
+TEST(TuneCacheTest, KernelSwappedTwinsNeverShareEntries)
+{
+    const Graph a = graphFromText(testing_pairs::kKernelSwapA).value();
+    const Graph b = graphFromText(testing_pairs::kKernelSwapB).value();
+    // Every aggregate a summarizing key could read agrees...
+    ASSERT_EQ(a.name(), b.name());
+    ASSERT_EQ(a.nodeCount(), b.nodeCount());
+    ASSERT_EQ(a.totalWeights(), b.totalWeights());
+    ASSERT_EQ(a.totalMacs(), b.totalMacs());
+    // ...but the serialized kernels differ, and so do the keys.
+    const CimArchitecture puma = presets::puma();
+    EXPECT_NE(TuneCache::key(graphDigest(a), archDigest(puma), 0),
+              TuneCache::key(graphDigest(b), archDigest(puma), 0));
+
+    // A tune of B on a cache warmed by A hits nothing and reproduces a
+    // cold tune of B.
+    TuneCache cache;
+    const AutoTuner shared(
+        AutoTuneConfig{TuneObjective::kLatency, 1, &cache});
+    ASSERT_TRUE(shared.tune(a, puma).isOk());
+    auto warm = shared.tune(b, puma);
+    auto cold =
+        AutoTuner(AutoTuneConfig{TuneObjective::kLatency, 1}).tune(b, puma);
+    ASSERT_TRUE(warm.isOk() && cold.isOk());
+    EXPECT_EQ(warm.value().cache_hits, 0);
+    EXPECT_EQ(warm.value().table(), cold.value().table());
 }
 
 TEST(TuneCacheTest, ArchCandidatesWithDifferentXbSizeNeverShareEntries)
@@ -293,9 +322,21 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
     EXPECT_FALSE(cache.loadFromConfig(wrong_schema.value()).isOk());
     EXPECT_EQ(cache.size(), 0u);
 
+    // v1 files hold keys of the retired summarizing fingerprint: they
+    // load cold.
+    cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
+    auto v1 = parseConfig(R"({
+        "schema": "cimmlc.tunecache.v1",
+        "entries": [{"key": "k", "code": 0, "latency_cycles": 1,
+                     "energy_pj": 1, "edp": 1}]
+    })");
+    ASSERT_TRUE(v1.isOk());
+    EXPECT_FALSE(cache.loadFromConfig(v1.value()).isOk());
+    EXPECT_EQ(cache.size(), 0u);
+
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto truncated = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 0, "latency_cycles": 1}]
     })");
     ASSERT_TRUE(truncated.isOk());
@@ -304,7 +345,7 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
 
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto bad_code = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 99, "latency_cycles": 1,
                      "energy_pj": 1, "edp": 1}]
     })");
@@ -316,7 +357,7 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
     // zero-latency entry would win every warm Pareto front).
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto mistyped = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 0, "latency_cycles": "oops",
                      "energy_pj": 1, "edp": 1}]
     })");
@@ -374,13 +415,12 @@ TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
     // proxy fidelity (workload prefix and/or forced opt=none). Its memo
     // key must differ from the full evaluation's, for every proxy mode,
     // or a warm cache would poison full runs with proxy metrics.
-    const Graph graph = models::byName("lenet5");
-    const CimArchitecture arch = presets::byName("jain").value();
+    const std::string graph = graphDigest(models::byName("lenet5"));
+    const std::string arch = archDigest(presets::byName("jain").value());
     const std::uint32_t encoding =
         AutoTuner::encodeOptions(ScheduleOptions::none());
 
-    const std::string full =
-        TuneCache::fingerprint(graph, arch, encoding);
+    const std::string full = TuneCache::key(graph, arch, encoding);
     SearchFidelity prefix;
     prefix.prefix_nodes = 4;
     SearchFidelity opt_none;
@@ -388,11 +428,11 @@ TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
     SearchFidelity both = prefix;
     both.forced_opt_none = true;
     const std::string with_prefix =
-        TuneCache::fingerprint(graph, arch, encoding, prefix);
+        TuneCache::key(graph, arch, encoding, prefix);
     const std::string with_opt_none =
-        TuneCache::fingerprint(graph, arch, encoding, opt_none);
+        TuneCache::key(graph, arch, encoding, opt_none);
     const std::string with_both =
-        TuneCache::fingerprint(graph, arch, encoding, both);
+        TuneCache::key(graph, arch, encoding, both);
 
     EXPECT_NE(full, with_prefix);
     EXPECT_NE(full, with_opt_none);
@@ -404,12 +444,10 @@ TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
     SearchFidelity longer = prefix;
     longer.prefix_nodes = 5;
     EXPECT_NE(with_prefix,
-              TuneCache::fingerprint(graph, arch, encoding, longer));
-    // The default fidelity is the full evaluation: byte-identical key,
-    // so every pre-budget cache file stays valid.
+              TuneCache::key(graph, arch, encoding, longer));
+    // The default fidelity is the full evaluation.
     EXPECT_EQ(full,
-              TuneCache::fingerprint(graph, arch, encoding,
-                                     SearchFidelity{}));
+              TuneCache::key(graph, arch, encoding, SearchFidelity{}));
 
     // End to end: a proxy entry in a warm cache is invisible to the
     // full-fidelity lookup path.

@@ -1,47 +1,57 @@
 /**
  * @file
- * Tests for the CimCompiler facade and the Table 1 capability probe.
+ * Tests for one-call session compiles and the Table 1 capability probe.
  */
 #include <gtest/gtest.h>
 
 #include "arch/presets.h"
 #include "compiler/capability.h"
-#include "compiler/compiler.h"
+#include "compiler/session.h"
 #include "graph/models.h"
 
 namespace cimmlc {
 namespace {
 
+/** Compiles @p model on isaac-baseline up to @p stop_after. */
+StatusOr<CompileArtifacts>
+compileOnIsaac(const std::string &model, const std::string &opt,
+               CompileStage stop_after = CompileStage::kVerify)
+{
+    CompileRequest request;
+    request.model = model;
+    request.arch = "isaac-baseline";
+    request.opt = opt;
+    request.stop_after = stop_after;
+    return CompilerSession(std::move(request)).run();
+}
+
 TEST(CompilerTest, CompileProducesAllArtifacts)
 {
-    CimCompiler compiler(presets::isaacBaseline());
-    auto result = compiler.compile(models::resnet18());
+    auto result = compileOnIsaac("resnet18", "full");
     ASSERT_TRUE(result.isOk()) << result.status().toString();
-    const CompileResult &r = result.value();
-    EXPECT_GT(r.schedule.total_latency_cycles, 0.0);
-    EXPECT_GT(r.code.program.counts().total(), 0);
-    EXPECT_FALSE(r.code.executable); // compressed by default
-    EXPECT_GT(r.perf.energy.total(), 0.0);
+    const CompileArtifacts &r = result.value();
+    EXPECT_GT(r.schedule->total_latency_cycles, 0.0);
+    EXPECT_GT(r.code->program.counts().total(), 0);
+    EXPECT_FALSE(r.code->executable); // compressed by default
+    EXPECT_GT(r.perf->energy.total(), 0.0);
 }
 
 TEST(CompilerTest, ScheduleOnlySkipsCodegen)
 {
-    CimCompiler compiler(presets::isaacBaseline());
-    auto schedule = compiler.scheduleOnly(models::vgg16());
-    ASSERT_TRUE(schedule.isOk());
-    EXPECT_GT(schedule.value().total_latency_cycles, 0.0);
+    auto result =
+        compileOnIsaac("vgg16", "full", CompileStage::kSchedule);
+    ASSERT_TRUE(result.isOk());
+    EXPECT_GT(result.value().schedule->total_latency_cycles, 0.0);
+    EXPECT_FALSE(result.value().code.has_value());
 }
 
 TEST(CompilerTest, OptionsSelectAblationLevel)
 {
-    CimCompiler compiler(presets::isaacBaseline(),
-                         ScheduleOptions::none());
-    auto slow = compiler.scheduleOnly(models::resnet18());
-    compiler.setOptions(ScheduleOptions::full());
-    auto fast = compiler.scheduleOnly(models::resnet18());
+    auto slow = compileOnIsaac("resnet18", "none", CompileStage::kSchedule);
+    auto fast = compileOnIsaac("resnet18", "full", CompileStage::kSchedule);
     ASSERT_TRUE(slow.isOk() && fast.isOk());
-    EXPECT_LT(fast.value().total_latency_cycles,
-              slow.value().total_latency_cycles);
+    EXPECT_LT(fast.value().schedule->total_latency_cycles,
+              slow.value().schedule->total_latency_cycles);
 }
 
 TEST(CapabilityTest, PriorWorkRowsMatchTable1)

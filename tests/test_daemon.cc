@@ -24,6 +24,7 @@
 #include "compiler/session.h"
 #include "daemon/client.h"
 #include "daemon/server.h"
+#include "kernel_swap_pair.h"
 
 namespace cimmlc {
 namespace {
@@ -195,6 +196,84 @@ TEST(DaemonServerTest, WarmMemoServesRepeatByteIdentical)
         ++replays;
     EXPECT_GE(replays, 4u); // validate, schedule, codegen, perf
     server.stop();
+}
+
+TEST(DaemonServerTest, KernelSwappedModelTextGetsItsOwnReport)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("swap");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk());
+    RpcCompileRequest a = toyRequest("", "puma");
+    a.model_text = testing_pairs::kKernelSwapA;
+    RpcCompileRequest b = a;
+    b.model_text = testing_pairs::kKernelSwapB;
+    ASSERT_TRUE(client.value().compile(a).isOk());
+    // B shares A's name, size and totals; the warm daemon must still
+    // answer with B's own report, not replay A's artifacts.
+    auto reply = client.value().compile(b);
+    ASSERT_TRUE(reply.isOk()) << reply.status().toString();
+    EXPECT_EQ(normalizeProvenance(reply.value().report_json),
+              normalizeProvenance(localReport(b)));
+    server.stop();
+}
+
+TEST(DaemonServerTest, IllFormedModelTextFailsTheRequestNotTheDaemon)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("badgraph");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk());
+    // Well-formed kvjson whose reshape cannot hold its input: shape
+    // inference must reject it as a Status, not abort the process.
+    RpcCompileRequest bad = toyRequest("", "puma");
+    bad.model_text = R"({"inputs": [{"name": "x", "dims": [1, 16]}],
+        "nodes": [{"op": "reshape", "name": "r", "inputs": ["x"],
+                   "dims": [3, 5]}],
+        "outputs": ["r"]})";
+    auto reply = client.value().compile(bad);
+    EXPECT_FALSE(reply.isOk());
+    EXPECT_NE(reply.status().message().find("reshape"), std::string::npos)
+        << reply.status().toString();
+    // The same daemon still serves the next request.
+    EXPECT_TRUE(client.value().compile(toyRequest()).isOk());
+    server.stop();
+}
+
+TEST(DaemonServerTest, StartStopWhileClientsConnectIsClean)
+{
+    // stop() must not release a listening descriptor while an accept
+    // thread still reads it (the TSan job runs this test). A client
+    // keeps connecting across each start/stop cycle.
+    for (int cycle = 0; cycle < 5; ++cycle) {
+        DaemonConfig config;
+        config.unix_path = uniqueSocketPath("cycle");
+        config.tcp_port = 0;
+        config.threads = 1;
+        DaemonServer server(std::move(config));
+        ASSERT_TRUE(server.start().isOk());
+        std::atomic<bool> done{false};
+        std::thread client([&] {
+            while (!done.load()) {
+                // Connections may fail once the listener is gone; only
+                // the server's own shutdown is under test.
+                (void)DaemonClient::connectUnixSocket(
+                    server.config().unix_path);
+            }
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        server.stop();
+        done.store(true);
+        client.join();
+    }
 }
 
 TEST(DaemonServerTest, ConcurrentMixedClientsStayByteIdentical)

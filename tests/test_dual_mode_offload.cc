@@ -349,12 +349,14 @@ TEST(FingerprintTest, DualAndHostBitsNeverAliasInTuneCache)
     ScheduleOptions host = base;
     host.host_offload = true;
 
-    const std::string fp_base = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(base));
-    const std::string fp_dual = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(dual));
-    const std::string fp_host = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(host));
+    const std::string graph_digest = graphDigest(graph);
+    const std::string arch_digest = archDigest(arch);
+    const std::string fp_base = TuneCache::key(
+        graph_digest, arch_digest, AutoTuner::encodeOptions(base));
+    const std::string fp_dual = TuneCache::key(
+        graph_digest, arch_digest, AutoTuner::encodeOptions(dual));
+    const std::string fp_host = TuneCache::key(
+        graph_digest, arch_digest, AutoTuner::encodeOptions(host));
     EXPECT_NE(fp_base, fp_dual);
     EXPECT_NE(fp_base, fp_host);
     EXPECT_NE(fp_dual, fp_host);
@@ -364,9 +366,9 @@ TEST(FingerprintTest, DualAndHostBitsNeverAliasInTuneCache)
     // never alias in a shared (or persisted) cache.
     HostModel slow;
     slow.alu_ops_per_cycle = 8.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, arch,
-                                     AutoTuner::encodeOptions(host), {},
-                                     slow.cacheTag()),
+    EXPECT_NE(TuneCache::key(graph_digest, arch_digest,
+                             AutoTuner::encodeOptions(host), {},
+                             slow.tag()),
               fp_host);
 }
 

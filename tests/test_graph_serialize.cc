@@ -118,6 +118,27 @@ TEST(GraphSerializeTest, RejectsMalformedDocuments)
         "nodes": [{"op": "relu", "name": "r", "inputs": ["x"]}],
         "outputs": ["nope"]
     })").isOk());
+    // Shape errors are a Status, never an abort: a binary op with one
+    // input, a zero stride, a reshape that cannot hold its input, and
+    // a concat whose operands differ outside the channel dim.
+    for (const char *node :
+         {R"({"op": "add", "name": "n", "inputs": ["x"]})",
+          R"({"op": "maxpool2d", "name": "n", "inputs": ["x"],
+              "kernel": 2, "stride": 0})",
+          R"({"op": "reshape", "name": "n", "inputs": ["x"],
+              "dims": [3, 5]})",
+          R"({"op": "concat", "name": "n", "inputs": ["x", "y"]})"}) {
+        const std::string text =
+            std::string(R"({"inputs": [{"name": "x", "dims": [1, 2, 4, 4]},
+                                      {"name": "y", "dims": [1, 2, 3, 3]}],
+                           "nodes": [)")
+            + node + R"(], "outputs": ["n"]})";
+        auto graph = graphFromText(text);
+        ASSERT_FALSE(graph.isOk()) << node;
+        EXPECT_NE(graph.status().message().find("in node n"),
+                  std::string::npos)
+            << graph.status().toString();
+    }
 }
 
 TEST(GraphSerializeTest, FileRoundTrip)

@@ -14,6 +14,7 @@
 
 #include "cache/artifact_cache.h"
 #include "compiler/session.h"
+#include "kernel_swap_pair.h"
 
 namespace cimmlc {
 namespace {
@@ -97,6 +98,27 @@ TEST(IncrementalCompileTest, ArchChangeInvalidatesEveryStage)
     // And the result is exactly what a cache-less compile produces.
     const CompileArtifacts reference = runWith(changed, nullptr);
     EXPECT_EQ(normalizedReport(warm), normalizedReport(reference));
+}
+
+TEST(IncrementalCompileTest, KernelSwappedTwinReplaysNothing)
+{
+    // Same name, node count, weights, MACs and output shape as A; only
+    // the conv kernels are swapped. B must compile as if the cache were
+    // cold.
+    const auto on_puma = [](const char *model_text) {
+        CompileRequest request;
+        request.model_text = model_text;
+        request.arch = "puma";
+        return request;
+    };
+    ArtifactCache cache;
+    runWith(on_puma(testing_pairs::kKernelSwapA), &cache);
+    const CompileArtifacts warm =
+        runWith(on_puma(testing_pairs::kKernelSwapB), &cache);
+    EXPECT_EQ(CompilerSession::cachedStageCount(warm), 0u);
+    const CompileArtifacts cold =
+        runWith(on_puma(testing_pairs::kKernelSwapB), nullptr);
+    EXPECT_EQ(normalizedReport(warm), normalizedReport(cold));
 }
 
 TEST(IncrementalCompileTest, ScheduleOptionChangeReRunsOnlyTheSuffix)
