@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -171,14 +172,19 @@ appendEscaped(std::string *out, const std::string &text)
     out->push_back('"');
 }
 
-std::string
-numberToString(double v)
+void
+appendNumber(std::string *out, double v)
 {
+    char buf[32];
     if (std::isfinite(v) && v == std::floor(v) &&
         std::abs(v) < 9.0e15) {
-        return std::to_string(static_cast<long long>(v));
+        const auto end = std::to_chars(buf, buf + sizeof(buf),
+                                       static_cast<long long>(v)).ptr;
+        out->append(buf, end);
+        return;
     }
-    return strformat("%.17g", v);
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out->append(buf, static_cast<std::size_t>(n));
 }
 
 } // namespace
@@ -186,65 +192,70 @@ numberToString(double v)
 std::string
 ConfigValue::dump(bool pretty, int indent) const
 {
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
     std::string out;
+    dumpTo(&out, pretty, indent);
+    return out;
+}
+
+void
+ConfigValue::dumpTo(std::string *out, bool pretty, int indent) const
+{
+    const auto newline = [&](int depth) {
+        if (pretty) {
+            out->push_back('\n');
+            out->append(static_cast<std::size_t>(depth) * 2, ' ');
+        }
+    };
     switch (type_) {
       case ConfigType::kNull:
-        return "null";
+        out->append("null");
+        return;
       case ConfigType::kBool:
-        return bool_value_ ? "true" : "false";
+        out->append(bool_value_ ? "true" : "false");
+        return;
       case ConfigType::kNumber:
-        return numberToString(number_value_);
+        appendNumber(out, number_value_);
+        return;
       case ConfigType::kString:
-        appendEscaped(&out, string_value_);
-        return out;
+        appendEscaped(out, string_value_);
+        return;
       case ConfigType::kArray: {
-        if (array_value_.empty())
-            return "[]";
-        out.push_back('[');
+        if (array_value_.empty()) {
+            out->append("[]");
+            return;
+        }
+        out->push_back('[');
         for (std::size_t i = 0; i < array_value_.size(); ++i) {
             if (i > 0)
-                out.push_back(',');
-            if (pretty) {
-                out.push_back('\n');
-                out.append(pad_in);
-            }
-            out.append(array_value_[i].dump(pretty, indent + 1));
+                out->push_back(',');
+            newline(indent + 1);
+            array_value_[i].dumpTo(out, pretty, indent + 1);
         }
-        if (pretty) {
-            out.push_back('\n');
-            out.append(pad);
-        }
-        out.push_back(']');
-        return out;
+        newline(indent);
+        out->push_back(']');
+        return;
       }
       case ConfigType::kObject: {
-        if (object_value_.empty())
-            return "{}";
-        out.push_back('{');
+        if (object_value_.empty()) {
+            out->append("{}");
+            return;
+        }
+        out->push_back('{');
         bool first = true;
         for (const auto &[key, value] : object_value_) {
             if (!first)
-                out.push_back(',');
+                out->push_back(',');
             first = false;
-            if (pretty) {
-                out.push_back('\n');
-                out.append(pad_in);
-            }
-            appendEscaped(&out, key);
-            out.append(pretty ? ": " : ":");
-            out.append(value.dump(pretty, indent + 1));
+            newline(indent + 1);
+            appendEscaped(out, key);
+            out->append(pretty ? ": " : ":");
+            value.dumpTo(out, pretty, indent + 1);
         }
-        if (pretty) {
-            out.push_back('\n');
-            out.append(pad);
-        }
-        out.push_back('}');
-        return out;
+        newline(indent);
+        out->push_back('}');
+        return;
       }
     }
-    return out;
 }
 
 namespace {

@@ -83,6 +83,10 @@ class ConfigValue
     std::string dump(bool pretty = false, int indent = 0) const;
 
   private:
+    /** Appends the dump() text to @p out, so nested values share one
+     * buffer. */
+    void dumpTo(std::string *out, bool pretty, int indent) const;
+
     ConfigType type_;
     bool bool_value_ = false;
     double number_value_ = 0.0;

@@ -49,11 +49,9 @@ FunctionalSimulator::FunctionalSimulator(const CimArchitecture &arch,
                        std::max<std::int64_t>(code.l1_elements, 1)),
                    0));
     xb_logical_cols_ = arch.logicalColsPerCrossbar();
-    xbars_.assign(static_cast<std::size_t>(arch.totalCrossbars()),
-                  std::vector<std::int8_t>(
-                      static_cast<std::size_t>(arch.xbar.rows *
-                                               xb_logical_cols_),
-                      0));
+    // Cell arrays are allocated on first programming: a large chip has
+    // thousands of crossbars, and a flow programs only those it maps.
+    xbars_.resize(static_cast<std::size_t>(arch.totalCrossbars()));
 }
 
 Status
@@ -200,6 +198,12 @@ FunctionalSimulator::execOp(const MetaOp &op)
         if (row_base + prows > arch_.xbar.rows ||
             pcols > xb_logical_cols_)
             return outOfRange("crossbar write payload exceeds array");
+        if (cells.empty()) {
+            cells.assign(static_cast<std::size_t>(arch_.xbar.rows *
+                                                  xb_logical_cols_),
+                         0);
+            ++stats_.crossbars_allocated;
+        }
         for (std::int64_t r = 0; r < prows; ++r) {
             for (std::int64_t c = 0; c < pcols; ++c) {
                 cells[static_cast<std::size_t>(
@@ -245,7 +249,9 @@ FunctionalSimulator::execCimRead(const MetaOp &op)
     CIMMLC_ASSIGN_OR_RETURN(const std::int32_t *src,
                             bufPtrConst(op.src, rows));
     CIMMLC_ASSIGN_OR_RETURN(std::int32_t *dst, bufPtr(op.dst, op.cols));
-    for (std::int64_t i = 0; i < rows; ++i) {
+    // A never-programmed crossbar holds zero weights and adds nothing.
+    const std::int64_t weighted_rows = cells.empty() ? 0 : rows;
+    for (std::int64_t i = 0; i < weighted_rows; ++i) {
         const std::int32_t activation = src[i];
         if (activation == 0)
             continue;

@@ -41,6 +41,8 @@ struct FuncSimStats {
     std::int64_t macs = 0;
     std::int64_t buffer_reads = 0;
     std::int64_t buffer_writes = 0;
+    //! crossbars whose cell arrays were allocated (programmed at least once)
+    std::int64_t crossbars_allocated = 0;
 };
 
 /** Executes compiled flows on simulated CIM hardware state. */
@@ -84,7 +86,8 @@ class FunctionalSimulator
 
     std::vector<std::int32_t> l0_;
     std::vector<std::vector<std::int32_t>> l1_;
-    //! logical weight state per crossbar, indexed core * xbN + xb
+    //! logical weight state per crossbar, indexed core * xbN + xb;
+    //! empty until the crossbar is first programmed (all-zero weights)
     std::vector<std::vector<std::int8_t>> xbars_;
     std::int64_t xb_logical_cols_ = 0;
 

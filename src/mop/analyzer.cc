@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -408,42 +409,174 @@ computeEffects(const MetaOp &op, const CimArchitecture &arch)
     return fx;
 }
 
-/** Aggregated accesses of one parallel arm, for race detection. */
+/** Aggregated accesses of one parallel arm, for race detection. Records
+ * point at their op; its text is rendered only for a finding. */
 struct ArmSummary {
     struct Access {
         BufKey key;
         IntervalSet set;
-        std::string op; //!< representative rendering per op
+        const MetaOp *op = nullptr; //!< representative op
     };
     struct XbAccess {
         std::int64_t core = 0, xb = 0;
         IntervalSet set;
-        std::string op;
+        const MetaOp *op = nullptr;
     };
     std::vector<Access> reads, writes, accums;
     std::vector<XbAccess> xb_reads, xb_writes;
-    std::vector<std::pair<std::int64_t, std::string>> core_reads;
-    std::vector<std::pair<std::int64_t, std::string>> core_writes;
+    std::vector<std::pair<std::int64_t, const MetaOp *>> core_reads;
+    std::vector<std::pair<std::int64_t, const MetaOp *>> core_writes;
 };
 
-/** The per-section statement numbering and node counts. */
-struct Numbering {
-    std::map<const Stmt *, std::int64_t> index;
-    std::int64_t statements = 0;
-    std::int64_t ops = 0;
-};
+bool
+sameAddrText(const BufAddr &a, const BufAddr &b)
+{
+    // An L0 address prints no core.
+    return a.space == b.space && a.offset == b.offset &&
+           (a.space == MemSpace::kL0 || a.core == b.core);
+}
 
+bool
+sameCoreParamsText(const CoreOpParams &a, const CoreOpParams &b)
+{
+    if (a.is_conv != b.is_conv || a.win_begin != b.win_begin ||
+        a.win_end != b.win_end)
+        return false;
+    if (!a.is_conv) {
+        return a.in_features == b.in_features &&
+               a.out_features == b.out_features;
+    }
+    return a.in_channels == b.in_channels && a.in_h == b.in_h &&
+           a.in_w == b.in_w && a.out_channels == b.out_channels &&
+           a.kernel == b.kernel && a.stride == b.stride &&
+           a.padding == b.padding;
+}
+
+bool
+samePayloadText(const std::shared_ptr<const Int8Tensor> &a,
+                const std::shared_ptr<const Int8Tensor> &b)
+{
+    if (a && b)
+        return a->shape() == b->shape();
+    if (!a && !b)
+        return true;
+    // A missing payload prints "[]", like a rank-0 shape.
+    return (a ? a : b)->shape().rank() == 0;
+}
+
+/**
+ * Whether two ops render the same MetaOp::toString() text, decided on
+ * the fields it prints, so the check costs no formatting.
+ */
+bool
+samePrintedText(const MetaOp &a, const MetaOp &b)
+{
+    if (&a == &b)
+        return true;
+    if (a.kind != b.kind ||
+        (a.kind == MetaOpKind::kDcom && a.func != b.func)) {
+        // Every rendering opens with its mnemonic (a DCOM's function
+        // name) and '(', so different heads print different text unless
+        // a function name contains '(' or spells another op's mnemonic.
+        const auto odd = [](const MetaOp &x, const MetaOp &y) {
+            return x.kind == MetaOpKind::kDcom &&
+                   (x.func.find('(') != std::string::npos ||
+                    (y.kind != MetaOpKind::kDcom &&
+                     x.func == metaOpKindName(y.kind)));
+        };
+        return (odd(a, b) || odd(b, a)) && a.toString() == b.toString();
+    }
+    switch (a.kind) {
+      case MetaOpKind::kReadCore:
+        return a.core == b.core &&
+               sameCoreParamsText(a.core_params, b.core_params) &&
+               sameAddrText(a.src, b.src) && sameAddrText(a.dst, b.dst);
+      case MetaOpKind::kWriteCore:
+        return a.core == b.core &&
+               sameCoreParamsText(a.core_params, b.core_params) &&
+               samePayloadText(a.payload, b.payload);
+      case MetaOpKind::kReadXb:
+        return a.core == b.core && a.xb == b.xb && a.len == b.len &&
+               a.rows == b.rows && a.cols == b.cols &&
+               sameAddrText(a.src, b.src) && sameAddrText(a.dst, b.dst);
+      case MetaOpKind::kWriteXb:
+        return a.core == b.core && a.xb == b.xb &&
+               samePayloadText(a.payload, b.payload);
+      case MetaOpKind::kReadRow:
+        return a.core == b.core && a.xb == b.xb && a.row == b.row &&
+               a.len == b.len && a.cols == b.cols &&
+               sameAddrText(a.src, b.src) && sameAddrText(a.dst, b.dst);
+      case MetaOpKind::kWriteRow:
+        return a.core == b.core && a.xb == b.xb && a.row == b.row &&
+               a.len == b.len && samePayloadText(a.payload, b.payload);
+      case MetaOpKind::kDcom: {
+        if (a.host != b.host || a.len != b.len ||
+            !sameAddrText(a.src, b.src) || !sameAddrText(a.dst, b.dst))
+            return false;
+        const DcomParams &p = a.dcom_params, &q = b.dcom_params;
+        if (a.func == dcomfunc::kAdd || a.func == dcomfunc::kMatMul)
+            return sameAddrText(a.src2, b.src2);
+        if (a.func == dcomfunc::kRequant)
+            return p.shift == q.shift;
+        if (a.func == dcomfunc::kMaxPool || a.func == dcomfunc::kAvgPool ||
+            a.func == dcomfunc::kGlobalAvgPool) {
+            return p.kernel == q.kernel && p.stride == q.stride &&
+                   p.padding == q.padding && p.channels == q.channels &&
+                   p.in_h == q.in_h && p.in_w == q.in_w;
+        }
+        if (a.func == dcomfunc::kSoftmax || a.func == dcomfunc::kLayerNorm)
+            return p.in_w == q.in_w;
+        return true;
+      }
+      case MetaOpKind::kMov:
+        if (a.host != b.host || a.len != b.len ||
+            !sameAddrText(a.src, b.src) || !sameAddrText(a.dst, b.dst) ||
+            (a.count > 1) != (b.count > 1))
+            return false;
+        return a.count <= 1 ||
+               (a.count == b.count && a.src_stride == b.src_stride &&
+                a.dst_stride == b.dst_stride);
+    }
+    return a.toString() == b.toString();
+}
+
+/** The two ops' texts, the lexicographically smaller first, so race
+ * messages do not depend on arm order. */
+std::pair<std::string, std::string>
+sortedTexts(const MetaOp &a, const MetaOp &b)
+{
+    std::string lo = a.toString(), hi = b.toString();
+    if (hi < lo)
+        std::swap(lo, hi);
+    return {std::move(lo), std::move(hi)};
+}
+
+/** The program section a statement sits in. Live-in regions are
+ * defined before either section and report none. */
+enum class Section : std::uint8_t { kLiveIn, kInit, kCompute };
+
+const char *
+sectionName(Section section)
+{
+    switch (section) {
+      case Section::kLiveIn: return "";
+      case Section::kInit: return "init";
+      case Section::kCompute: return "compute";
+    }
+    return "";
+}
+
+/** Counts the statement and op nodes under @p stmts, once each. */
 void
-numberStmts(const std::vector<Stmt> &stmts, std::int64_t *next,
-            Numbering *out)
+countStmts(const std::vector<Stmt> &stmts, std::int64_t *statements,
+           std::int64_t *ops)
 {
     for (const Stmt &stmt : stmts) {
-        out->index[&stmt] = (*next)++;
-        ++out->statements;
+        ++*statements;
         if (stmt.kind == Stmt::Kind::kOp)
-            ++out->ops;
+            ++*ops;
         else
-            numberStmts(stmt.body, next, out);
+            countStmts(stmt.body, statements, ops);
     }
 }
 
@@ -458,11 +591,6 @@ class Analyzer
     void
     run(const MopProgram &program, AnalyzeResult *result)
     {
-        std::int64_t next = 0;
-        numberStmts(program.init(), &next, &numbering_);
-        next = 0;
-        numberStmts(program.compute(), &next, &numbering_);
-
         for (const LiveInRegion &region : options_.live_in) {
             BufKey key;
             key.space = region.space;
@@ -470,15 +598,18 @@ class Analyzer
             defined_[key].add(region.begin, region.end);
             if (region.begin < region.end) {
                 events_[key].push_back(Event{-1, true, region.begin,
-                                             region.end, "", -1});
+                                             region.end, Section::kLiveIn,
+                                             -1});
             }
         }
 
-        section_ = "init";
-        walkStmts(program.init());
-        section_ = "compute";
-        walkStmts(program.compute());
+        section_ = Section::kInit;
+        walkStmts(program.init(), 0);
+        section_ = Section::kCompute;
+        walkStmts(program.compute(), 0);
 
+        countStmts(program.init(), &result->statements, &result->ops);
+        countStmts(program.compute(), &result->statements, &result->ops);
         finish(result);
     }
 
@@ -487,7 +618,7 @@ class Analyzer
         std::int64_t t = 0;
         bool is_def = false;
         std::int64_t begin = 0, end = 0;
-        std::string section;
+        Section section = Section::kLiveIn;
         std::int64_t index = -1;
     };
 
@@ -497,8 +628,8 @@ class Analyzer
     struct PendingStore {
         std::int64_t remaining = 0; //!< pending elements left
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        Section section = Section::kLiveIn;
         std::int64_t index = -1;
     };
 
@@ -511,15 +642,15 @@ class Analyzer
     struct XbStore {
         IntervalSet pending; //!< programmed rows not yet overwritten
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        Section section = Section::kLiveIn;
         std::int64_t index = -1;
     };
 
     struct CoreStore {
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        Section section = Section::kLiveIn;
         std::int64_t index = -1;
     };
 
@@ -537,44 +668,50 @@ class Analyzer
         std::int64_t anchor = -1;
     };
 
-    void
-    walkStmts(const std::vector<Stmt> &stmts)
+    /** Walks @p stmts whose first statement has pre-order index
+     * @p index within the section; returns the index after them. */
+    std::int64_t
+    walkStmts(const std::vector<Stmt> &stmts, std::int64_t index)
     {
         for (const Stmt &stmt : stmts) {
             switch (stmt.kind) {
               case Stmt::Kind::kOp:
-                processOp(stmt.op, numbering_.index[&stmt], nullptr);
+                processOp(stmt.op, index++, nullptr);
                 ++time_;
                 break;
               case Stmt::Kind::kParallel:
-                walkParallel(stmt);
+                index = walkParallel(stmt, index);
                 break;
               case Stmt::Kind::kRepeat: {
                 // Two passes expose loop-carried dataflow (a store at
                 // the end of the body read at the start of the next
-                // iteration) without unrolling; findings dedup.
+                // iteration) without unrolling; both passes number the
+                // body alike, so findings dedup.
                 const int passes = stmt.repeat > 1 ? 2 : 1;
+                std::int64_t next = index + 1;
                 for (int p = 0; p < passes; ++p)
-                    walkStmts(stmt.body);
+                    next = walkStmts(stmt.body, index + 1);
+                index = next;
                 break;
               }
             }
         }
+        return index;
     }
 
-    void
+    /** Walks one arm's statement tree; returns its node count. */
+    std::int64_t
     walkArm(const Stmt &stmt, ArmCtx *ctx)
     {
-        switch (stmt.kind) {
-          case Stmt::Kind::kOp:
-            processOp(stmt.op, numbering_.index[&stmt], ctx);
-            break;
-          case Stmt::Kind::kParallel: // structurally rejected; recurse
-          case Stmt::Kind::kRepeat:
-            for (const Stmt &sub : stmt.body)
-                walkArm(sub, ctx);
-            break;
+        if (stmt.kind == Stmt::Kind::kOp) {
+            processOp(stmt.op, ctx->anchor, ctx);
+            return 1;
         }
+        // Nested blocks are structurally rejected; recurse anyway.
+        std::int64_t nodes = 1;
+        for (const Stmt &sub : stmt.body)
+            nodes += walkArm(sub, ctx);
+        return nodes;
     }
 
     void
@@ -587,18 +724,17 @@ class Analyzer
         }
         const MetaOp &op = stmt.op;
         const OpEffects fx = computeEffects(op, arch_);
-        const std::string text = op.toString();
         auto addAccesses = [&](const std::vector<RegionRef> &refs,
                                std::vector<ArmSummary::Access> *dst) {
             for (const RegionRef &r : refs) {
                 ArmSummary::Access access;
                 access.key = r.key;
                 access.set.add(r.begin, r.end);
-                access.op = text;
-                // Merge consecutive accesses of the same op+key so a
-                // strided mov stays one record.
-                if (!dst->empty() && dst->back().op == text &&
-                    dst->back().key == r.key) {
+                access.op = &op;
+                // Merge consecutive accesses of the same key by ops of
+                // the same text, so a strided mov stays one record.
+                if (!dst->empty() && dst->back().key == r.key &&
+                    samePrintedText(*dst->back().op, op)) {
                     dst->back().set.add(r.begin, r.end);
                 } else {
                     dst->push_back(std::move(access));
@@ -613,7 +749,7 @@ class Analyzer
             access.core = x.core;
             access.xb = x.xb;
             access.set.add(x.begin, x.end);
-            access.op = text;
+            access.op = &op;
             out->xb_reads.push_back(std::move(access));
         }
         for (const XbRef &x : fx.xb_writes) {
@@ -621,13 +757,13 @@ class Analyzer
             access.core = x.core;
             access.xb = x.xb;
             access.set.add(x.begin, x.end);
-            access.op = text;
+            access.op = &op;
             out->xb_writes.push_back(std::move(access));
         }
         for (std::int64_t core : fx.core_reads)
-            out->core_reads.emplace_back(core, text);
+            out->core_reads.emplace_back(core, &op);
         for (std::int64_t core : fx.core_writes)
-            out->core_writes.emplace_back(core, text);
+            out->core_writes.emplace_back(core, &op);
     }
 
     // ----- diagnostics plumbing ---------------------------------------
@@ -662,7 +798,7 @@ class Analyzer
         MopDiagnostic diag;
         diag.severity = severity;
         diag.check = check_id;
-        diag.section = section_;
+        diag.section = sectionName(section_);
         diag.stmt_index = index;
         diag.code = code;
         diag.message = std::move(message);
@@ -687,12 +823,12 @@ class Analyzer
         slices.emplace(pos, tail);
     }
 
+    /** Dataflow of one op. Findings anchor at statement index @p at,
+     * which inside a parallel arm is the block's index. */
     void
-    processOp(const MetaOp &op, std::int64_t own_index, ArmCtx *ctx)
+    processOp(const MetaOp &op, std::int64_t at, ArmCtx *ctx)
     {
         const OpEffects fx = computeEffects(op, arch_);
-        const std::int64_t at = ctx != nullptr ? ctx->anchor : own_index;
-        const std::string text = op.toString();
 
         // 1. use-before-def on buffer regions (executable flows only:
         //    compressed templates only show window 0, so cross-window
@@ -707,7 +843,7 @@ class Analyzer
                     DiagSeverity::kError, check::kUbdBuffer,
                     StatusCode::kFailedPrecondition, at,
                     strformat("%s %s %s which is never written",
-                              text.c_str(), verb,
+                              op.toString().c_str(), verb,
                               regionName(r.key, missing.first())
                                   .c_str())));
             };
@@ -728,7 +864,7 @@ class Analyzer
                     strformat("%s activates rows [%lld, %lld) of "
                               "crossbar %s but rows [%lld, %lld) were "
                               "never programmed",
-                              text.c_str(),
+                              op.toString().c_str(),
                               static_cast<long long>(x.begin),
                               static_cast<long long>(x.end),
                               xbName(x.core, x.xb).c_str(),
@@ -758,7 +894,7 @@ class Analyzer
                     StatusCode::kFailedPrecondition, at,
                     strformat("%s runs on core %lld whose weights were "
                               "never installed",
-                              text.c_str(),
+                              op.toString().c_str(),
                               static_cast<long long>(core))));
             }
             auto it = core_stores_.find(core);
@@ -801,13 +937,14 @@ class Analyzer
                         MopDiagnostic diag;
                         diag.severity = DiagSeverity::kWarning;
                         diag.check = check::kDeadStore;
-                        diag.section = store.section;
+                        diag.section = sectionName(store.section);
                         diag.stmt_index = store.index;
                         diag.code = StatusCode::kFailedPrecondition;
                         diag.message = strformat(
                             "%s is fully overwritten by %s before any "
                             "read",
-                            store.op.c_str(), text.c_str());
+                            store.op->toString().c_str(),
+                            op.toString().c_str());
                         record(std::move(diag));
                     }
                     s = slices.erase(s);
@@ -821,7 +958,7 @@ class Analyzer
                 PendingStore store;
                 for (const Interval &iv : set.intervals())
                     store.remaining += iv.end - iv.begin;
-                store.op = text;
+                store.op = &op;
                 store.section = section_;
                 store.index = at;
                 const std::size_t id = store_pool_.size();
@@ -859,14 +996,15 @@ class Analyzer
                     MopDiagnostic diag;
                     diag.severity = DiagSeverity::kError;
                     diag.check = check::kXbarOverwrite;
-                    diag.section = store.section;
+                    diag.section = sectionName(store.section);
                     diag.stmt_index = store.index;
                     diag.code = StatusCode::kFailedPrecondition;
                     diag.message = strformat(
                         "%s programs crossbar %s but is overwritten by "
                         "%s before the weights are ever used",
-                        store.op.c_str(), xbName(x.core, x.xb).c_str(),
-                        text.c_str());
+                        store.op->toString().c_str(),
+                        xbName(x.core, x.xb).c_str(),
+                        op.toString().c_str());
                     record(std::move(diag));
                 }
             }
@@ -877,7 +1015,7 @@ class Analyzer
                        list.end());
             XbStore store;
             store.pending.add(x.begin, x.end);
-            store.op = text;
+            store.op = &op;
             store.section = section_;
             store.index = at;
             list.push_back(std::move(store));
@@ -894,18 +1032,18 @@ class Analyzer
                 MopDiagnostic diag;
                 diag.severity = DiagSeverity::kWarning;
                 diag.check = check::kCoreOverwrite;
-                diag.section = it->second.section;
+                diag.section = sectionName(it->second.section);
                 diag.stmt_index = it->second.index;
                 diag.code = StatusCode::kFailedPrecondition;
                 diag.message = strformat(
                     "%s installs weights on core %lld that %s replaces "
                     "before any use",
-                    it->second.op.c_str(), static_cast<long long>(core),
-                    text.c_str());
+                    it->second.op->toString().c_str(),
+                    static_cast<long long>(core), op.toString().c_str());
                 record(std::move(diag));
             }
             CoreStore store;
-            store.op = text;
+            store.op = &op;
             store.section = section_;
             store.index = at;
             core_stores_[core] = std::move(store);
@@ -1095,10 +1233,12 @@ class Analyzer
         return false;
     }
 
-    void
-    walkParallel(const Stmt &block)
+    /** Walks the parallel @p block at index @p anchor; returns the
+     * index after its subtree. */
+    std::int64_t
+    walkParallel(const Stmt &block, std::int64_t anchor)
     {
-        const std::int64_t anchor = numbering_.index.at(&block);
+        std::int64_t next = anchor + 1;
         std::vector<MopDiagnostic> local;
         std::vector<MopDiagnostic> *saved = block_diags_;
         block_diags_ = &local;
@@ -1140,7 +1280,7 @@ class Analyzer
             ctx.base_cores = &cores_programmed_;
             ctx.arm_cores = &arm_cores;
             ctx.anchor = anchor;
-            walkArm(arm, &ctx);
+            next += walkArm(arm, &ctx);
             for (auto &[key, set] : arm_defined)
                 merged_defined[key].addSet(set);
             for (auto &[key, set] : arm_xb)
@@ -1167,6 +1307,7 @@ class Analyzer
                   });
         for (MopDiagnostic &diag : local)
             record(std::move(diag));
+        return next;
     }
 
     /** Lexicographically smallest conflict message between two arms'
@@ -1200,8 +1341,7 @@ class Analyzer
             auto overlap = x.set.firstOverlap(y.set);
             if (!overlap)
                 return std::nullopt;
-            const std::string &lo = std::min(x.op, y.op);
-            const std::string &hi = std::max(x.op, y.op);
+            const auto [lo, hi] = sortedTexts(*x.op, *y.op);
             return strformat("parallel arms %s on %s: %s vs %s", what,
                              regionName(x.key, *overlap).c_str(),
                              lo.c_str(), hi.c_str());
@@ -1255,8 +1395,7 @@ class Analyzer
             auto overlap = x.set.firstOverlap(y.set);
             if (!overlap)
                 return std::nullopt;
-            const std::string &lo = std::min(x.op, y.op);
-            const std::string &hi = std::max(x.op, y.op);
+            const auto [lo, hi] = sortedTexts(*x.op, *y.op);
             return strformat(
                 "parallel arms %s on crossbar %s rows [%lld, %lld): %s "
                 "vs %s",
@@ -1280,14 +1419,13 @@ class Analyzer
         if (auto m = bestConflict(a.xb_reads, b.xb_writes, xwr))
             raceDiag(check::kRaceXbar, std::move(*m));
 
-        using CoreRec = std::pair<std::int64_t, std::string>;
+        using CoreRec = std::pair<std::int64_t, const MetaOp *>;
         auto coreConflict = [&](const CoreRec &x, const CoreRec &y,
                                 const char *what)
             -> std::optional<std::string> {
             if (x.first != y.first)
                 return std::nullopt;
-            const std::string &lo = std::min(x.second, y.second);
-            const std::string &hi = std::max(x.second, y.second);
+            const auto [lo, hi] = sortedTexts(*x.second, *y.second);
             return strformat("parallel arms %s core %lld state: %s vs %s",
                              what, static_cast<long long>(x.first),
                              lo.c_str(), hi.c_str());
@@ -1322,13 +1460,13 @@ class Analyzer
                     MopDiagnostic diag;
                     diag.severity = DiagSeverity::kWarning;
                     diag.check = check::kXbarUnused;
-                    diag.section = store.section;
+                    diag.section = sectionName(store.section);
                     diag.stmt_index = store.index;
                     diag.code = StatusCode::kFailedPrecondition;
                     diag.message = strformat(
                         "%s programs crossbar %s but it is never "
                         "activated",
-                        store.op.c_str(),
+                        store.op->toString().c_str(),
                         xbName(xbkey.first, xbkey.second).c_str());
                     finalize(std::move(diag));
                 }
@@ -1339,13 +1477,14 @@ class Analyzer
                 MopDiagnostic diag;
                 diag.severity = DiagSeverity::kWarning;
                 diag.check = check::kCoreUnused;
-                diag.section = store.section;
+                diag.section = sectionName(store.section);
                 diag.stmt_index = store.index;
                 diag.code = StatusCode::kFailedPrecondition;
                 diag.message = strformat(
                     "%s installs weights on core %lld but it never "
                     "computes",
-                    store.op.c_str(), static_cast<long long>(core));
+                    store.op->toString().c_str(),
+                    static_cast<long long>(core));
                 finalize(std::move(diag));
             }
         }
@@ -1353,8 +1492,6 @@ class Analyzer
         sweepCapacity(result);
         result->crossbars_programmed =
             static_cast<std::int64_t>(xbars_programmed_count_.size());
-        result->statements = numbering_.statements;
-        result->ops = numbering_.ops;
         for (MopDiagnostic &diag : diags_)
             result->diagnostics.push_back(std::move(diag));
     }
@@ -1494,7 +1631,7 @@ class Analyzer
                 MopDiagnostic diag;
                 diag.severity = DiagSeverity::kError;
                 diag.check = check_id;
-                diag.section = ev.section;
+                diag.section = sectionName(ev.section);
                 diag.stmt_index = ev.index;
                 diag.code = StatusCode::kResourceExhausted;
                 diag.message = strformat(
@@ -1511,8 +1648,7 @@ class Analyzer
 
     const CimArchitecture &arch_;
     AnalyzeOptions options_;
-    Numbering numbering_;
-    std::string section_;
+    Section section_ = Section::kLiveIn;
     std::int64_t time_ = 0;
 
     std::vector<MopDiagnostic> diags_;

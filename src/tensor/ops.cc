@@ -64,29 +64,43 @@ conv2d(const Int8Tensor &input, const Int8Tensor &weight,
     const std::int64_t out_h = out_shape.dim(2);
     const std::int64_t out_w = out_shape.dim(3);
 
+    // The kernel window is clipped to the input once per output
+    // position, so the inner loops run bounds-check free. Terms still
+    // accumulate in (c, kh, kw) order.
     Int32Tensor out(out_shape);
+    const std::int8_t *in = input.data().data();
+    const std::int8_t *wt = weight.data().data();
+    std::int32_t *dst = out.data().data();
     for (std::int64_t n = 0; n < N; ++n) {
         for (std::int64_t o = 0; o < O; ++o) {
             for (std::int64_t oh = 0; oh < out_h; ++oh) {
+                const std::int64_t ih0 = oh * stride - padding;
+                const std::int64_t kh_lo = std::max<std::int64_t>(0, -ih0);
+                const std::int64_t kh_hi = std::min(KH, H - ih0);
                 for (std::int64_t ow = 0; ow < out_w; ++ow) {
+                    const std::int64_t iw0 = ow * stride - padding;
+                    const std::int64_t kw_lo =
+                        std::max<std::int64_t>(0, -iw0);
+                    const std::int64_t kw_n =
+                        std::min(KW, W - iw0) - kw_lo; // clipped width
                     std::int32_t acc = 0;
-                    for (std::int64_t c = 0; c < C; ++c) {
-                        for (std::int64_t kh = 0; kh < KH; ++kh) {
-                            for (std::int64_t kw = 0; kw < KW; ++kw) {
-                                const std::int64_t ih =
-                                    oh * stride + kh - padding;
-                                const std::int64_t iw =
-                                    ow * stride + kw - padding;
-                                if (ih < 0 || ih >= H || iw < 0 || iw >= W)
-                                    continue;
+                    for (std::int64_t c = 0; c < C && kw_n > 0; ++c) {
+                        const std::int8_t *in_c = in + (n * C + c) * H * W;
+                        const std::int8_t *wt_c =
+                            wt + (o * C + c) * KH * KW;
+                        for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+                            const std::int8_t *in_row =
+                                in_c + ((ih0 + kh) * W + iw0 + kw_lo);
+                            const std::int8_t *wt_row =
+                                wt_c + kh * KW + kw_lo;
+                            for (std::int64_t k = 0; k < kw_n; ++k)
                                 acc += static_cast<std::int32_t>(
-                                           input.at4(n, c, ih, iw)) *
+                                           in_row[k]) *
                                        static_cast<std::int32_t>(
-                                           weight.at4(o, c, kh, kw));
-                            }
+                                           wt_row[k]);
                         }
                     }
-                    out.at4(n, o, oh, ow) = acc;
+                    *dst++ = acc;
                 }
             }
         }

@@ -221,6 +221,56 @@ TEST(ConfigTest, DumpParseRoundTrip)
     EXPECT_EQ(doc.value().dump(), again.value().dump());
 }
 
+// Pins the exact dump text (cache keys hash compact dumps): key order,
+// separators, pretty indentation, string escapes, number forms.
+TEST(ConfigTest, DumpTextIsPinned)
+{
+    using V = ConfigValue;
+    const V doc = V::makeObject({
+        {"name", V::makeString("q\"uote\\back\nline\ttab\rcr")},
+        {"empty_arr", V::makeArray({})},
+        {"empty_obj", V::makeObject({})},
+        {"nums", V::makeArray({V::makeNumber(1), V::makeNumber(-2.5),
+                               V::makeNumber(1e20), V::makeNumber(0.1)})},
+        {"nested",
+         V::makeObject(
+             {{"flag", V::makeBool(true)},
+              {"none", V::makeNull()},
+              {"list", V::makeArray({V::makeObject(
+                           {{"k", V::makeString("v")}})})}})},
+    });
+    EXPECT_EQ(doc.dump(),
+              R"({"empty_arr":[],"empty_obj":{},)"
+              R"("name":"q\"uote\\back\nline\ttab\rcr",)"
+              R"("nested":{"flag":true,"list":[{"k":"v"}],"none":null},)"
+              R"("nums":[1,-2.5,1e+20,0.10000000000000001]})");
+    EXPECT_EQ(doc.dump(/*pretty=*/true),
+              R"({
+  "empty_arr": [],
+  "empty_obj": {},
+  "name": "q\"uote\\back\nline\ttab\rcr",
+  "nested": {
+    "flag": true,
+    "list": [
+      {
+        "k": "v"
+      }
+    ],
+    "none": null
+  },
+  "nums": [
+    1,
+    -2.5,
+    1e+20,
+    0.10000000000000001
+  ]
+})");
+    // A nonzero starting indent shifts every nested line and the
+    // closing bracket, not the opening one.
+    EXPECT_EQ(V::makeArray({V::makeNumber(7)}).dump(true, 1),
+              "[\n    7\n  ]");
+}
+
 TEST(ConfigTest, TypedGettersWithDefaults)
 {
     auto doc = parseConfig(R"({"n": 5, "s": "x", "f": true})").value();

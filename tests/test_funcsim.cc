@@ -13,6 +13,7 @@
 #include "funcsim/verify.h"
 #include "graph/models.h"
 #include "graph/reference.h"
+#include "mop/analyzer.h"
 #include "sched/codegen.h"
 #include "sched/multi_level.h"
 
@@ -261,6 +262,98 @@ TEST(FuncsimUnitTest, ReadCoreWithoutWeightsFails)
     code.program.emit(read);
     FunctionalSimulator sim(arch, code);
     EXPECT_FALSE(sim.run().isOk());
+}
+
+// Crossbar cell arrays are allocated on first programming. A read of a
+// crossbar no op ever programmed sees zero weights: it must succeed,
+// leave its destination unchanged and still count its MACs.
+TEST(FuncsimUnitTest, ReadOfUnprogrammedCrossbarLeavesDstUnchanged)
+{
+    const CimArchitecture arch =
+        presets::tutorialTable2(ComputeMode::kXBM);
+    Graph graph("unprogrammed");
+    const TensorId x = graph.addInput("x", {1, 16});
+    CodegenResult code;
+    code.l0_elements = 64;
+    code.l1_elements = 16;
+    code.executable = true;
+    code.tensor_offsets[x] = 0;
+
+    MetaOp seed_dst; // dst holds nonzero partial sums before the reads
+    seed_dst.kind = MetaOpKind::kMov;
+    seed_dst.src = {MemSpace::kL0, 0, 0};
+    seed_dst.dst = {MemSpace::kL0, 0, 32};
+    seed_dst.len = 4;
+    code.program.emit(seed_dst);
+    MetaOp readxb;
+    readxb.kind = MetaOpKind::kReadXb;
+    readxb.core = 1;
+    readxb.xb = 1;
+    readxb.rows = 8;
+    readxb.cols = 4;
+    readxb.src = {MemSpace::kL0, 0, 0};
+    readxb.dst = {MemSpace::kL0, 0, 32};
+    code.program.emit(readxb);
+    MetaOp readrow = readxb;
+    readrow.kind = MetaOpKind::kReadRow;
+    readrow.core = 0;
+    readrow.row = 2;
+    readrow.len = 4;
+    readrow.src = {MemSpace::kL0, 0, 4};
+    code.program.emit(readrow);
+
+    FunctionalSimulator sim(arch, code);
+    Int8Tensor input(TensorShape({1, 16}));
+    for (std::int64_t i = 0; i < 16; ++i)
+        input[i] = static_cast<std::int8_t>(i + 1);
+    ASSERT_TRUE(sim.loadInput(graph, x, input).isOk());
+    const Status run = sim.run();
+    ASSERT_TRUE(run.isOk()) << run.toString();
+    for (std::int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(sim.l0At(32 + j), j + 1) << "dst element " << j;
+    EXPECT_EQ(sim.stats().cim_reads, 2);
+    EXPECT_EQ(sim.stats().macs, 8 * 4 + 4 * 4);
+    EXPECT_EQ(sim.stats().crossbars_allocated, 0);
+}
+
+// The allocation counter tracks exactly the crossbars the flow
+// programs, which mopcheck counts independently, and the replay stays
+// bit-exact with most of isaac-baseline's crossbars never allocated.
+TEST(VerifyTest, LazyCrossbarsMatchLintCountOnIsaac)
+{
+    Graph graph = models::lenet5();
+    Rng rng(1234);
+    graph.randomizeWeights(rng);
+    const std::map<TensorId, Int8Tensor> inputs = randomInputs(graph, 5);
+    const CimArchitecture arch = presets::isaacBaseline();
+
+    auto reference = runReference(graph, inputs);
+    ASSERT_TRUE(reference.isOk()) << reference.status().toString();
+    auto schedule = scheduleGraph(graph, arch, ScheduleOptions::full());
+    ASSERT_TRUE(schedule.isOk()) << schedule.status().toString();
+    CodegenOptions options;
+    options.unroll = true;
+    options.shifts = reference.value().shifts;
+    auto code = generateProgram(graph, arch, schedule.value(), options);
+    ASSERT_TRUE(code.isOk()) << code.status().toString();
+
+    FunctionalSimulator sim(arch, code.value());
+    for (const auto &[tensor, value] : inputs)
+        ASSERT_TRUE(sim.loadInput(graph, tensor, value).isOk());
+    ASSERT_TRUE(sim.run().isOk());
+    for (TensorId out : graph.outputs()) {
+        auto actual = sim.readTensor(graph, out);
+        ASSERT_TRUE(actual.isOk()) << actual.status().toString();
+        EXPECT_EQ(actual.value(), reference.value().tensors.at(out));
+    }
+
+    AnalyzeOptions lint;
+    lint.structural = false;
+    const AnalyzeResult result =
+        analyzeProgram(code.value().program, arch, lint);
+    EXPECT_GT(sim.stats().crossbars_allocated, 0);
+    EXPECT_EQ(sim.stats().crossbars_allocated, result.crossbars_programmed);
+    EXPECT_LT(sim.stats().crossbars_allocated, arch.totalCrossbars());
 }
 
 // ----- reference executor sanity ---------------------------------------------

@@ -4,19 +4,26 @@
  * fault triggers (use-before-def, races, capacity, dead stores, unused
  * programming), live-range capacity semantics, shuffle invariance of
  * parallel-block findings, repeat-body deduplication, the collect-all
- * structural mode, fault injection into compiled flows, and a
- * clean-on-all-presets golden over fast model/arch pairs.
+ * structural mode, fault injection into compiled flows, the merge rule
+ * for equal-text arm accesses, a clean-on-all-presets golden over fast
+ * model/arch pairs, and digests that pin the rendered lint text.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "arch/presets.h"
+#include "cache/artifact_cache.h"
+#include "common/rng.h"
 #include "compiler/session.h"
+#include "graph/models.h"
 #include "mop/analyzer.h"
 #include "mop/validator.h"
+#include "sched/codegen.h"
+#include "sched/multi_level.h"
 
 namespace cimmlc {
 namespace {
@@ -119,6 +126,15 @@ hasCheck(const AnalyzeResult &result, const std::string &check)
                        });
 }
 
+/** Digest of the rendered lint text: the summary line plus the
+ * findings table. Pinned digests hold the analyzer's output byte for
+ * byte, not just which checks fire. */
+std::string
+lintTextDigest(const AnalyzeResult &result)
+{
+    return ArtifactHash().mix(result.summary()).mix(result.table()).digest();
+}
+
 // ----- clean flows --------------------------------------------------------
 
 TEST(MopAnalyzerTest, CleanFlowReportsStatsOnly)
@@ -163,6 +179,7 @@ TEST(MopAnalyzerTest, UseBeforeDefBuffer)
               StatusCode::kFailedPrecondition);
     EXPECT_NE(result.diagnostics[0].message.find("never written"),
               std::string::npos);
+    EXPECT_EQ(lintTextDigest(result), "87f42f3c06965bbf1a023505f9bb8424");
 
     // The same read is fine once the region is declared live-in.
     AnalyzeOptions covered = dataflowOnly();
@@ -183,6 +200,7 @@ TEST(MopAnalyzerTest, UseBeforeDefXbarAlsoFiresOnCompressedFlows)
     const AnalyzeResult result = analyzeProgram(program, arch, options);
     EXPECT_TRUE(hasCheck(result, "use-before-def-xbar"))
         << result.table();
+    EXPECT_EQ(lintTextDigest(result), "f2d3ca983d2561e073ca3b875340fa47");
 
     // Crossbar state is per-instance, so the check stays sound on
     // compressed (non-executable) flows.
@@ -216,6 +234,7 @@ TEST(MopAnalyzerTest, UseBeforeDefCore)
     const AnalyzeResult result = analyzeProgram(program, arch, options);
     EXPECT_TRUE(hasCheck(result, "use-before-def-core"))
         << result.table();
+    EXPECT_EQ(lintTextDigest(result), "a52352b5a0c50dae235254ec6098034a");
 }
 
 // ----- races in parallel blocks -------------------------------------------
@@ -232,6 +251,7 @@ TEST(MopAnalyzerTest, RaceWriteWriteAndShuffleInvariance)
     const AnalyzeResult result =
         analyzeProgram(program, arch, dataflowOnly());
     ASSERT_TRUE(hasCheck(result, "race-write-write")) << result.table();
+    EXPECT_EQ(lintTextDigest(result), "c0de58caa3b7851415e645ae8525067e");
 
     // Permuting the arms must reproduce the identical report.
     MopProgram shuffled("p", "XBM");
@@ -264,6 +284,7 @@ TEST(MopAnalyzerTest, RaceReadWrite)
     options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 32));
     const AnalyzeResult result = analyzeProgram(program, arch, options);
     EXPECT_TRUE(hasCheck(result, "race-read-write")) << result.table();
+    EXPECT_EQ(lintTextDigest(result), "1b4fe9b9f596a3c0951f4f3e0ad6d207");
 }
 
 TEST(MopAnalyzerTest, OverlappingAccumulatesAreLegal)
@@ -290,6 +311,65 @@ TEST(MopAnalyzerTest, OverlappingAccumulatesAreLegal)
     EXPECT_TRUE(result.clean()) << result.table();
 }
 
+/** The race message of a block whose first arm runs @p first then
+ * @p second, racing a second arm that zeroes @p zeroed elements at
+ * L0[@p zero_at]. */
+std::string
+raceMessage(const MetaOp &first, const MetaOp &second,
+            std::int64_t zero_at, std::int64_t zeroed)
+{
+    const CimArchitecture arch =
+        presets::tutorialTable2(ComputeMode::kXBM);
+    MopProgram program("p", "XBM");
+    program.compute().push_back(Stmt::makeParallel(
+        {Stmt::makeRepeat(1, {Stmt::makeOp(first), Stmt::makeOp(second)}),
+         Stmt::makeOp(zeroOp({MemSpace::kL0, 0, zero_at}, zeroed))}));
+    AnalyzeOptions options = dataflowOnly();
+    options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 100));
+    const AnalyzeResult result = analyzeProgram(program, arch, options);
+    for (const MopDiagnostic &diag : result.diagnostics) {
+        if (diag.check == "race-write-write")
+            return diag.message;
+    }
+    return "no race in:\n" + result.table();
+}
+
+// Consecutive accesses of one buffer within an arm merge exactly when
+// their ops print the same text, so the smallest race message is the
+// same whether or not the ops are one statement.
+TEST(MopAnalyzerTest, ArmAccessesMergeOnEqualOpText)
+{
+    // Two matmuls that print alike (the dims are not printed) merge
+    // into one record covering both outputs: the overlap is reported
+    // whole, not as the smaller first output.
+    MetaOp small;
+    small.kind = MetaOpKind::kDcom;
+    small.func = dcomfunc::kMatMul;
+    small.src = {MemSpace::kL0, 0, 0};
+    small.src2 = {MemSpace::kL0, 0, 50};
+    small.dst = {MemSpace::kL0, 0, 100};
+    small.dcom_params.in_h = 1;
+    small.dcom_params.in_w = 4;
+    small.dcom_params.channels = 5;
+    MetaOp large = small;
+    large.dcom_params.in_h = 2;
+    EXPECT_EQ(raceMessage(small, large, 100, 10),
+              "parallel arms overlapping writes on L0[100, 110): "
+              "matmul(src1=L0[0], src2=L0[50], dst=L0[100], len=1) vs "
+              "zero(src=L0[0], dst=L0[100], len=10)");
+
+    // Two movs into one region that differ in their source stay apart,
+    // so the lexicographically smaller text is reported, not the first.
+    const MetaOp later = movOp({MemSpace::kL0, 0, 10},
+                               {MemSpace::kL0, 0, 200}, 4);
+    const MetaOp earlier = movOp({MemSpace::kL0, 0, 0},
+                                 {MemSpace::kL0, 0, 200}, 4);
+    EXPECT_EQ(raceMessage(later, earlier, 200, 4),
+              "parallel arms overlapping writes on L0[200, 204): "
+              "mov(src=L0[0], dst=L0[200], len=4) vs "
+              "zero(src=L0[0], dst=L0[200], len=4)");
+}
+
 TEST(MopAnalyzerTest, RaceXbarOnConflictingProgramming)
 {
     const CimArchitecture arch =
@@ -302,6 +382,7 @@ TEST(MopAnalyzerTest, RaceXbarOnConflictingProgramming)
     const AnalyzeResult result =
         analyzeProgram(program, arch, dataflowOnly());
     EXPECT_TRUE(hasCheck(result, "race-xbar")) << result.table();
+    EXPECT_EQ(lintTextDigest(result), "1a1c702dd1e16e8ee719e925d3d299b5");
 }
 
 TEST(MopAnalyzerTest, RaceCoreOnInstallVsUse)
@@ -328,6 +409,7 @@ TEST(MopAnalyzerTest, RaceCoreOnInstallVsUse)
     options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 8));
     const AnalyzeResult result = analyzeProgram(program, arch, options);
     EXPECT_TRUE(hasCheck(result, "race-core")) << result.table();
+    EXPECT_EQ(lintTextDigest(result), "d3cbd5c349f8bc06d3338f67be39d64a");
 }
 
 // ----- dead stores and unused programming ---------------------------------
@@ -348,6 +430,7 @@ TEST(MopAnalyzerTest, DeadStoreWarnsOnlyWithoutInterveningRead)
     EXPECT_EQ(result.diagnostics[0].check, "dead-store");
     EXPECT_EQ(result.diagnostics[0].severity, DiagSeverity::kWarning);
     EXPECT_FALSE(result.clean());
+    EXPECT_EQ(lintTextDigest(result), "0f434dabdb6004a7c802af9432cde9b0");
 
     // A read between the two stores acquits the first one.
     MopProgram read("p", "XBM");
@@ -368,6 +451,7 @@ TEST(MopAnalyzerTest, UnusedAndOverwrittenXbarProgramming)
         analyzeProgram(unused, arch, dataflowOnly());
     EXPECT_TRUE(hasCheck(warned, "xbar-unused-write")) << warned.table();
     EXPECT_EQ(warned.errors(), 0);
+    EXPECT_EQ(lintTextDigest(warned), "5d5204fdb44e6300ee0fe9222c3c0a5e");
 
     // Reprogramming rows whose weights were never activated loses them.
     MopProgram clobbered("p", "XBM");
@@ -377,6 +461,7 @@ TEST(MopAnalyzerTest, UnusedAndOverwrittenXbarProgramming)
         analyzeProgram(clobbered, arch, dataflowOnly());
     EXPECT_TRUE(hasCheck(overwrote, "xbar-overwrite"))
         << overwrote.table();
+    EXPECT_EQ(lintTextDigest(overwrote), "b94505576224aa86f066796ac5f4b0cb");
 
     // Compressed flows only activate the representative replica's
     // crossbars, so neither conclusion is provable there.
@@ -407,6 +492,7 @@ TEST(MopAnalyzerTest, CapacityL1OverflowOnSimultaneousLiveRanges)
                                      return d.check == "capacity-l1";
                                  });
     EXPECT_EQ(it->code, StatusCode::kResourceExhausted);
+    EXPECT_EQ(lintTextDigest(result), "572d178e898619a0488fc62bd1334a48");
 }
 
 TEST(MopAnalyzerTest, CapacityLiveRangesEndAtLastUse)
@@ -435,8 +521,9 @@ TEST(MopAnalyzerTest, CapacityL0FollowsEnforcementKnob)
     program.emit(zeroOp({MemSpace::kL0, 0, 0}, 400));
 
     AnalyzeOptions options = dataflowOnly();
-    EXPECT_TRUE(hasCheck(analyzeProgram(program, arch, options),
-                         "capacity-l0"));
+    const AnalyzeResult enforced = analyzeProgram(program, arch, options);
+    EXPECT_TRUE(hasCheck(enforced, "capacity-l0"));
+    EXPECT_EQ(lintTextDigest(enforced), "010b7083ed2f42432a82231fad8b7b93");
 
     // Emitted flows address a virtual L0 space: the finding is gated,
     // the statistic is not.
@@ -461,6 +548,7 @@ TEST(MopAnalyzerTest, RepeatFindingsDeduplicate)
         analyzeProgram(program, arch, dataflowOnly());
     EXPECT_EQ(result.errors(), 1) << result.table();
     EXPECT_EQ(result.diagnostics[0].check, "use-before-def-buffer");
+    EXPECT_EQ(lintTextDigest(result), "c5ec955446a7a2de6992ae407e268cd6");
 }
 
 TEST(MopAnalyzerTest, RepeatLoopCarriedDefUseIsClean)
@@ -485,8 +573,10 @@ TEST(MopAnalyzerTest, RepeatLoopCarriedDefUseIsClean)
         4, {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16)),
             Stmt::makeOp(reluOp({MemSpace::kL0, 0, 0},
                                 {MemSpace::kL0, 0, 64}, 16))}));
-    EXPECT_TRUE(hasCheck(analyzeProgram(clobber, arch, dataflowOnly()),
-                         "dead-store"));
+    const AnalyzeResult clobbered =
+        analyzeProgram(clobber, arch, dataflowOnly());
+    EXPECT_TRUE(hasCheck(clobbered, "dead-store"));
+    EXPECT_EQ(lintTextDigest(clobbered), "1661973da5caf0e0d35b8b45068cbce4");
 }
 
 // ----- structural pass integration ----------------------------------------
@@ -523,6 +613,7 @@ TEST(MopAnalyzerTest, StructuralFindingsCollectAll)
     const AnalyzeResult result = analyzeProgram(program, arch);
     EXPECT_TRUE(hasCheck(result, "struct-core-range"));
     EXPECT_TRUE(hasCheck(result, "struct-mov"));
+    EXPECT_EQ(lintTextDigest(result), "652e0e2569fe89abbe543df243bded0c");
 }
 
 // ----- fault injection into compiled flows --------------------------------
@@ -597,6 +688,7 @@ TEST_F(CompiledFlowFaultTest, DroppedWeightLoadIsCaught)
     EXPECT_TRUE(hasCheck(result, "use-before-def-xbar"))
         << result.summary();
     EXPECT_GT(result.errors(), 0);
+    EXPECT_EQ(lintTextDigest(result), "467bfff2bd09b38ce57b2e3bb52b59db");
 }
 
 TEST_F(CompiledFlowFaultTest, ParallelArmsSharingDstBufferRace)
@@ -623,6 +715,7 @@ TEST_F(CompiledFlowFaultTest, ParallelArmsSharingDstBufferRace)
         analyzeProgram(faulty, arch_, lintLikeOptions());
     EXPECT_TRUE(hasCheck(result, "race-write-write"))
         << result.summary();
+    EXPECT_EQ(lintTextDigest(result), "9ccc8e38a6a982f8e33de0de14517f44");
 }
 
 // ----- clean-on-all-presets golden ----------------------------------------
@@ -652,6 +745,135 @@ TEST(MopAnalyzerGoldenTest, FastPresetPairsLintClean)
                 << model << " x " << arch << ":\n"
                 << result.value().lint->table();
         }
+    }
+}
+
+/** The findings-heavy lint path: every flow compiled for the
+ * undersized-L1 example arch trips struct-addr and capacity findings.
+ * Digests were recorded on the analyzer that formatted every op's text
+ * up front; rendering text only for findings must not change a byte. */
+TEST(MopAnalyzerGoldenTest, FaultArchLintTextIsPinned)
+{
+    const std::vector<std::pair<std::string, std::string>> pins = {
+        {"mlp", "4e9a6ad9a3c5c54f3c1838dbc14ef2f4"},
+        {"lenet5", "ca786458499c56864665eb82bd7d16d6"},
+        {"resnet18", "12f914d10ae11dc20de80c4b9ce6543c"},
+    };
+    for (const auto &[model, digest] : pins) {
+        CompileRequest request;
+        request.model = model;
+        request.arch_file =
+            std::string(CIMMLC_EXAMPLES_DIR) + "/lint_fault_arch.json";
+        request.threads = 1;
+        request.lint = true;
+        CompilerSession session(std::move(request));
+        auto result = session.run();
+        ASSERT_TRUE(result.isOk()) << model << ": "
+                                   << result.status().toString();
+        ASSERT_TRUE(result.value().lint.has_value());
+        EXPECT_GT(result.value().lint->errors(), 0) << model;
+        EXPECT_EQ(lintTextDigest(*result.value().lint), digest) << model;
+    }
+}
+
+/** Applies one seeded structural fault somewhere in @p program:
+ * delete, duplicate, fuse two siblings into a parallel block, repeat an
+ * arm, shift an address, or wrap in a repeat. The raw mt19937 stream is
+ * fixed by the standard, so the faults are the same on every platform. */
+void
+injectFault(MopProgram &program, std::mt19937 &rng)
+{
+    std::vector<Stmt> *list =
+        rng() % 4 == 0 ? &program.init() : &program.compute();
+    for (int depth = 0; depth < 3 && !list->empty(); ++depth) {
+        Stmt &stmt = (*list)[rng() % list->size()];
+        if (stmt.kind == Stmt::Kind::kOp || stmt.body.empty() || rng() % 2)
+            break;
+        list = &stmt.body;
+    }
+    if (list->empty())
+        return;
+    const std::size_t i = rng() % list->size();
+    Stmt &stmt = (*list)[i];
+    switch (rng() % 7) {
+      case 0:
+        list->erase(list->begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 1:
+        list->insert(list->begin() + static_cast<std::ptrdiff_t>(i), stmt);
+        break;
+      case 2:
+        if (i + 1 < list->size()) {
+            const auto first = list->begin() + static_cast<std::ptrdiff_t>(i);
+            Stmt block = Stmt::makeParallel({*first, *(first + 1)});
+            list->erase(first + 1);
+            (*list)[i] = std::move(block);
+        }
+        break;
+      case 3:
+        if (stmt.kind == Stmt::Kind::kParallel && !stmt.body.empty())
+            stmt.body.push_back(stmt.body.front());
+        break;
+      case 4:
+        if (stmt.kind == Stmt::Kind::kOp)
+            stmt.op.dst.offset += static_cast<std::int64_t>(rng() % 4);
+        break;
+      case 5:
+        if (stmt.kind == Stmt::Kind::kOp)
+            stmt.op.src.offset += static_cast<std::int64_t>(rng() % 5);
+        break;
+      case 6:
+        stmt = Stmt::makeRepeat(2, {stmt});
+        break;
+    }
+}
+
+/** Seeded faults in executable compiled flows exercise every dataflow
+ * check (races, dead stores, unused and overwritten programming) on
+ * real op text, including the merge of equal-text arm accesses. */
+TEST(MopAnalyzerGoldenTest, FaultInjectedFlowTextIsPinned)
+{
+    struct Pin {
+        const char *model;
+        const char *arch;
+        const char *digest;
+    };
+    const std::vector<Pin> pins = {
+        {"lenet5", "isaac-baseline", "0556c9ff2e38b67de16bc4c662908221"},
+        {"macro_cnn", "jia-isscc21", "d2cfb2a2e150ba1bd577c660b7f6ad87"},
+        {"mlp", "puma", "89d6b880e885df24b38ba97830a53fd4"},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(pin.model) + " x " + pin.arch);
+        const CimArchitecture arch = presets::byName(pin.arch).value();
+        Graph graph = models::byName(pin.model);
+        Rng weights(1234);
+        graph.randomizeWeights(weights);
+        auto schedule = scheduleGraph(graph, arch, ScheduleOptions::full());
+        ASSERT_TRUE(schedule.isOk()) << schedule.status().toString();
+        CodegenOptions codegen;
+        codegen.unroll = true;
+        auto code = generateProgram(graph, arch, schedule.value(), codegen);
+        ASSERT_TRUE(code.isOk()) << code.status().toString();
+
+        AnalyzeOptions options;
+        options.validate.enforce_l0_capacity = false;
+        options.validate.enforce_write_policy = false;
+        for (TensorId input : graph.inputs()) {
+            LiveInRegion region;
+            region.begin = code.value().tensor_offsets.at(input);
+            region.end = region.begin + graph.tensor(input).numel();
+            options.live_in.push_back(region);
+        }
+        ArtifactHash hash;
+        for (unsigned seed = 0; seed < 12; ++seed) {
+            std::mt19937 rng(seed * 7919 + 13);
+            MopProgram faulty = code.value().program;
+            for (unsigned k = 0; k <= seed % 6; ++k)
+                injectFault(faulty, rng);
+            hash.mix(lintTextDigest(analyzeProgram(faulty, arch, options)));
+        }
+        EXPECT_EQ(hash.digest(), pin.digest);
     }
 }
 

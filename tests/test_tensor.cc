@@ -84,15 +84,17 @@ TEST(TensorTest, FillRandomWithinRange)
 // ----- reference operators ------------------------------------------
 
 class ConvEquivalenceTest
-    : public testing::TestWithParam<std::tuple<int, int, int, int>>
+    : public testing::TestWithParam<
+          std::tuple<int, int, int, int, int, int>>
 {
 };
 
 TEST_P(ConvEquivalenceTest, DirectEqualsIm2colMatmul)
 {
-    const auto [channels, kernel, stride, padding] = GetParam();
+    const auto [channels, kernel, stride, padding, height, width] =
+        GetParam();
     Rng rng(static_cast<std::uint64_t>(channels * 100 + kernel));
-    Int8Tensor input(TensorShape({1, channels, 12, 12}));
+    Int8Tensor input(TensorShape({1, channels, height, width}));
     input.fillRandom(rng, -20, 20);
     Int8Tensor weight(TensorShape({5, channels, kernel, kernel}));
     weight.fillRandom(rng, -10, 10);
@@ -104,14 +106,23 @@ TEST_P(ConvEquivalenceTest, DirectEqualsIm2colMatmul)
     EXPECT_EQ(direct, via_im2col);
 }
 
+// (channels, kernel, stride, padding, height, width). The last rows
+// clip the kernel window at the edges: a kernel larger than the input,
+// padding wider than the kernel (windows that miss the input), stride
+// 3, and H != W.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConvEquivalenceTest,
-    testing::Values(std::make_tuple(1, 3, 1, 1),
-                    std::make_tuple(3, 3, 1, 0),
-                    std::make_tuple(2, 5, 1, 2),
-                    std::make_tuple(4, 3, 2, 1),
-                    std::make_tuple(3, 1, 1, 0),
-                    std::make_tuple(2, 7, 2, 3)));
+    testing::Values(std::make_tuple(1, 3, 1, 1, 12, 12),
+                    std::make_tuple(3, 3, 1, 0, 12, 12),
+                    std::make_tuple(2, 5, 1, 2, 12, 12),
+                    std::make_tuple(4, 3, 2, 1, 12, 12),
+                    std::make_tuple(3, 1, 1, 0, 12, 12),
+                    std::make_tuple(2, 7, 2, 3, 12, 12),
+                    std::make_tuple(2, 7, 1, 3, 4, 5),
+                    std::make_tuple(3, 5, 3, 2, 3, 2),
+                    std::make_tuple(2, 3, 3, 1, 7, 11),
+                    std::make_tuple(1, 2, 1, 3, 5, 4),
+                    std::make_tuple(3, 4, 3, 0, 13, 8)));
 
 TEST(OpsTest, Im2colShape)
 {
